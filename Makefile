@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race bench vet check cover fault-smoke serve-smoke failover-smoke gray-smoke power-smoke trace-smoke ff-smoke digest-smoke experiments bench-json clean
+.PHONY: all build test short race bench vet check cover fault-smoke serve-smoke failover-smoke gray-smoke power-smoke trace-smoke ff-smoke digest-smoke bench-check experiments bench-json clean
 
 all: check
 
@@ -183,6 +183,13 @@ digest-smoke:
 		digest-serve-serial.txt digest-serve-parallel.txt digest-serve-noff.txt \
 		digest-failover-serial.txt digest-failover-parallel.txt digest-failover-noff.txt \
 		digest-failover.jsonl
+
+## bench-check: the benchmark harness's own tests (a separate module under
+## bench/): smoke runs of every workload, each checked against
+## bench/golden.json for output hash and folded state digest, so any change
+## of model outputs fails here (CI job)
+bench-check:
+	$(GO) -C bench test ./...
 
 ## experiments: regenerate every figure at the recorded scale
 experiments:

@@ -86,3 +86,31 @@ func TestEpochBoundaryZeroAlloc(t *testing.T) {
 		t.Errorf("epoch boundary: %.1f allocs per run+EndEpoch step, want 0", got)
 	}
 }
+
+// TestCheckInvariantsZeroAlloc pins the epoch-boundary audit as
+// allocation-free on a populated two-tenant GPU: the VM audit walks dense
+// tables with stamps instead of building sets, and the SM-ownership pass
+// reuses a scratch slice.
+func TestCheckInvariantsZeroAlloc(t *testing.T) {
+	cfg := testConfig()
+	opt := DefaultOptions()
+	opt.FootprintScale = 64
+	g, err := New(cfg, []AppSpec{
+		{Bench: bench(t, "LBM"), SMs: 40, Groups: []int{0, 1, 2, 3}},
+		{Bench: bench(t, "DXTC"), SMs: 40, Groups: []int{4, 5, 6, 7}},
+	}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Run(20_000)
+	if g.VM().PageCount(0) == 0 || g.VM().PageCount(1) == 0 {
+		t.Fatal("tenants hold no pages")
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("CheckInvariants: %.1f allocs per call, want 0", got)
+	}
+}

@@ -269,6 +269,7 @@ type GPU struct {
 	// Watchdog bookkeeping (see watchdog.go).
 	lastFingerprint uint64
 	lastProgressAt  uint64
+	auditSMOwner    []int // CheckInvariants scratch: SM id -> owning app
 
 	// testBlackhole (tests only) suppresses load completion so warps wedge
 	// at their outstanding-load bound — an injected livelock for watchdog
@@ -420,6 +421,7 @@ func New(cfg config.Config, specs []AppSpec, opt Options) (*GPU, error) {
 		replayQ:       make([][]replayReq, cfg.NumSMs),
 		migInFlight:   make(map[uint64]bool),
 		failedSMs:     make([]bool, cfg.NumSMs),
+		auditSMOwner:  make([]int, cfg.NumSMs),
 		deadGroups:    make([]bool, cfg.ChannelGroups()),
 		pendingMoveTo: make(map[int]*App),
 		pageShift:     log2of(cfg.PageBytes),

@@ -236,7 +236,7 @@ func (g *GPU) RunChecked(n uint64) error {
 func (g *GPU) CheckInvariants() error {
 	// 1. SM conservation: every owned SM exists, is alive, is owned by
 	// exactly one app, and the in-flight accounting balances.
-	owner := make([]int, g.cfg.NumSMs)
+	owner := g.auditSMOwner
 	for i := range owner {
 		owner[i] = -1
 	}

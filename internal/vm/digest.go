@@ -1,23 +1,35 @@
 package vm
 
-// State digests (ISSUE 9). Page tables and ownership records are Go maps, so
-// they fold as unordered multisets (Acc); recycle stacks are LIFO — their
+// State digests. The tables are dense slices, so they could fold in index
+// order, but page tables, flag sets and frame records still fold as
+// unordered multisets (Acc) of the same elements the earlier hash-map tables
+// folded: digests of every run stay identical across the change of layout,
+// and the recorded goldens remain valid. Recycle stacks are LIFO — their
 // order decides future allocations — so they fold in place. Per-group page
-// sets digest only by size: the set contents are already covered by the
-// page-table multiset (VPN -> PA determines the group), so re-hashing the
-// membership would double the snapshot's page-table cost for no coverage.
+// counts digest only by size: which pages sit on a group is already covered
+// by the page-table multiset (VPN -> PA determines the group). Audit stamps
+// (frameRec.mark) are scratch and excluded.
 
 import "ugpu/internal/digest"
 
-func (s *Space) appendDigest(h digest.Hash) digest.Hash {
+func (s *space) appendDigest(h digest.Hash) digest.Hash {
 	h = h.Int(s.id).Bool(s.rebalancing)
-	var pt digest.Acc
-	for vpn, pa := range s.pageTable {
-		pt.Add(digest.New().U64(vpn).U64(pa))
+	var pt, mig, pend digest.Acc
+	for i, e := range s.pt {
+		vpn, f := uint64(i), s.flags[i]
+		if e != 0 {
+			pt.Add(digest.New().U64(vpn).U64(e - 1))
+		}
+		if f&flagMigrating != 0 {
+			mig.Add(digest.New().U64(vpn).Bool(true))
+		}
+		if f&flagPending != 0 {
+			pend.Add(digest.New().U64(vpn))
+		}
 	}
 	h = h.Acc(pt)
-	for g := range s.byGroup {
-		h = h.Int(len(s.byGroup[g]))
+	for _, n := range s.groupN {
+		h = h.Int(n)
 	}
 	h = h.Int(len(s.groups))
 	for _, g := range s.groups {
@@ -25,13 +37,6 @@ func (s *Space) appendDigest(h digest.Hash) digest.Hash {
 	}
 	for _, a := range s.allowed {
 		h = h.Bool(a)
-	}
-	var mig, pend digest.Acc
-	for vpn, v := range s.migrating {
-		mig.Add(digest.New().U64(vpn).Bool(v))
-	}
-	for vpn := range s.pendingAll {
-		pend.Add(digest.New().U64(vpn))
 	}
 	return h.Acc(mig).Acc(pend)
 }
@@ -43,8 +48,8 @@ func (m *Manager) AppendDigest(h digest.Hash) digest.Hash {
 	for _, sp := range m.spaces {
 		h = sp.appendDigest(h)
 	}
-	for _, f := range m.nextFrame {
-		h = h.U64(f)
+	for _, recs := range m.frames {
+		h = h.U64(uint64(len(recs)))
 	}
 	for g := range m.recycled {
 		h = h.Int(len(m.recycled[g]))
@@ -53,11 +58,16 @@ func (m *Manager) AppendDigest(h digest.Hash) digest.Hash {
 		}
 	}
 	var tags, owners digest.Acc
-	for pa, tag := range m.frameTag {
-		tags.Add(digest.New().U64(pa).U64(tag))
-	}
-	for pa, own := range m.frameOwner {
-		owners.Add(digest.New().U64(pa).U64(own[0]).U64(own[1]))
+	for g, recs := range m.frames {
+		for f := range recs {
+			r := &recs[f]
+			if r.app < 0 {
+				continue
+			}
+			pa := m.mapper.FrameBase(g, uint64(f))
+			tags.Add(digest.New().U64(pa).U64(r.tag))
+			owners.Add(digest.New().U64(pa).U64(uint64(r.app)).U64(r.vpn))
+		}
 	}
 	h = h.Acc(tags).Acc(owners)
 	for _, d := range m.deadGroup {

@@ -17,11 +17,15 @@
 // For end-to-end data correctness checking, every physical frame carries a
 // content tag derived from its owning (application, virtual page). Reads
 // verify the tag; migrations must preserve it.
+//
+// All bookkeeping is dense: VPNs are small and contiguous (every tenant maps
+// [0, footprint)), so page tables are slices indexed by VPN, and frames are
+// numbered per channel group from zero, so frame records are slices indexed
+// by frame number. Every scan therefore visits pages in ascending VPN order.
 package vm
 
 import (
 	"fmt"
-	"sort"
 
 	"ugpu/internal/addr"
 	"ugpu/internal/config"
@@ -36,54 +40,126 @@ type Stats struct {
 	Remaps     uint64 // slow-path remaps (emergency spill, no hardware copy)
 }
 
-// Space is one application's address space and driver-side bookkeeping.
-type Space struct {
-	id        int
-	pageTable map[uint64]uint64     // VPN -> physical page base
-	byGroup   []map[uint64]struct{} // VPNs resident in each channel group
-	groups    []int                 // currently allocated channel groups
-	allowed   []bool                // groups[i] membership test
-	migrating map[uint64]bool       // VPNs with an in-flight migration
-	// pendingAll holds pages that must move even though their group is
-	// still allowed — the traditional-mapping reshuffle of the UGPU-Ori
-	// ablation, where a channel reallocation reorganises the whole
-	// footprint.
-	pendingAll map[uint64]struct{}
+// Per-VPN flag bits of space.flags.
+const (
+	// flagMigrating marks a page with an in-flight migration.
+	flagMigrating uint8 = 1 << iota
+	// flagPending marks a page that must move even though its group is still
+	// allowed — the traditional-mapping reshuffle of the UGPU-Ori ablation,
+	// where a channel reallocation reorganises the whole footprint.
+	flagPending
+)
+
+// space is one application's address space and driver-side bookkeeping.
+type space struct {
+	id int
+	// pt maps VPN -> physical page base + 1; 0 means unmapped (frame 0 of
+	// group 0 sits at physical address 0). flags holds each VPN's flag bits.
+	// Both grow on demand and always have the same length.
+	pt    []uint64
+	flags []uint8
+	// Running counts: mapped VPNs, and VPNs carrying each flag.
+	pages, migrating, pending int
+
+	groupN  []int  // resident pages per channel group
+	groups  []int  // currently allocated channel groups
+	allowed []bool // groups[i] membership test
 	// rebalancing mirrors Section 4.4's channel-list register state for an
 	// app with newly allocated channels: accesses to pages on over-loaded
 	// groups fault and migrate until page counts balance.
 	rebalancing bool
 }
 
-// Pages reports the number of resident pages.
-func (s *Space) Pages() int { return len(s.pageTable) }
+func newSpace(id, groups int) *space {
+	return &space{id: id, groupN: make([]int, groups), allowed: make([]bool, groups)}
+}
 
-// Groups returns the currently allocated channel groups (shared slice; do
-// not modify).
-func (s *Space) Groups() []int { return s.groups }
+// lookup returns the physical page base mapped at vpn.
+func (s *space) lookup(vpn uint64) (pa uint64, ok bool) {
+	if vpn < uint64(len(s.pt)) {
+		if e := s.pt[vpn]; e != 0 {
+			return e - 1, true
+		}
+	}
+	return 0, false
+}
+
+// has reports whether vpn carries flag f.
+func (s *space) has(vpn uint64, f uint8) bool {
+	return vpn < uint64(len(s.flags)) && s.flags[vpn]&f != 0
+}
+
+// setFlags adds flag bits to a mapped vpn, keeping the running counts.
+func (s *space) setFlags(vpn uint64, f uint8) {
+	added := f &^ s.flags[vpn]
+	s.flags[vpn] |= f
+	s.count(added, 1)
+}
+
+// clearFlags removes flag bits from a mapped vpn, keeping the running counts.
+func (s *space) clearFlags(vpn uint64, f uint8) {
+	removed := f & s.flags[vpn]
+	s.flags[vpn] &^= f
+	s.count(removed, -1)
+}
+
+func (s *space) count(f uint8, d int) {
+	if f&flagMigrating != 0 {
+		s.migrating += d
+	}
+	if f&flagPending != 0 {
+		s.pending += d
+	}
+}
+
+// balanced reports whether the app's per-group page counts are within 25%
+// of the mean.
+func (s *space) balanced() bool {
+	if len(s.groups) == 0 {
+		return true
+	}
+	target := s.pages/len(s.groups) + 1
+	for _, g := range s.groups {
+		if s.groupN[g] > target+target/4 {
+			return false
+		}
+	}
+	return true
+}
+
+// frameRec is the driver's record of one physical frame.
+type frameRec struct {
+	tag  uint64 // content tag of the data the frame holds
+	vpn  uint64 // owning page
+	app  int32  // owning application; -1 = unmapped (free or a reserved migration destination)
+	mark uint32 // CheckInvariants visit stamp
+}
+
+// freeFrame is the record of a frame no page maps.
+var freeFrame = frameRec{app: -1}
 
 // Manager owns all address spaces and physical frame accounting.
 type Manager struct {
-	cfg    config.Config
 	mapper *addr.CustomMapper
 
-	spaces []*Space
+	spaces []*space
 
-	// Frame allocation per channel group: a bump cursor plus a recycle
-	// stack. Frames are global (not per app): ownership is whoever mapped
-	// them.
-	nextFrame []uint64
-	recycled  [][]uint64
-
-	// frameTag maps a physical page base to its content tag; frameOwner to
-	// the owning (app, vpn) for invariant checking.
-	frameTag   map[uint64]uint64
-	frameOwner map[uint64][2]uint64
+	// Frame allocation per channel group: frames[g] records every frame ever
+	// handed out (its length is the group's bump cursor) and recycled[g] is
+	// the LIFO free stack. Frames are global (not per app): ownership is
+	// whoever mapped them.
+	frames   [][]frameRec
+	recycled [][]uint64
 
 	// deadGroup marks channel groups lost to a hardware fault: no frame may
 	// be allocated there, and frames freed there are not recycled (the
 	// silicon is gone).
 	deadGroup []bool
+
+	// Scratch for the scans: the last stamp CheckInvariants wrote into
+	// frameRec.mark, and one count per channel group.
+	mark      uint32
+	perGroupN []int
 
 	stats Stats
 }
@@ -91,57 +167,28 @@ type Manager struct {
 // NewManager builds a Manager for the given number of applications. Channel
 // groups must be assigned per app with SetGroups before faults occur.
 func NewManager(cfg config.Config, mapper *addr.CustomMapper, numApps int) *Manager {
+	ng := cfg.ChannelGroups()
 	m := &Manager{
-		cfg:        cfg,
-		mapper:     mapper,
-		spaces:     make([]*Space, numApps),
-		nextFrame:  make([]uint64, cfg.ChannelGroups()),
-		recycled:   make([][]uint64, cfg.ChannelGroups()),
-		frameTag:   make(map[uint64]uint64),
-		frameOwner: make(map[uint64][2]uint64),
-		deadGroup:  make([]bool, cfg.ChannelGroups()),
+		mapper:    mapper,
+		spaces:    make([]*space, numApps),
+		frames:    make([][]frameRec, ng),
+		recycled:  make([][]uint64, ng),
+		deadGroup: make([]bool, ng),
+		perGroupN: make([]int, ng),
 	}
 	for i := range m.spaces {
-		sp := &Space{
-			id:         i,
-			pageTable:  make(map[uint64]uint64),
-			byGroup:    make([]map[uint64]struct{}, cfg.ChannelGroups()),
-			allowed:    make([]bool, cfg.ChannelGroups()),
-			migrating:  make(map[uint64]bool),
-			pendingAll: make(map[uint64]struct{}),
-		}
-		for g := range sp.byGroup {
-			sp.byGroup[g] = make(map[uint64]struct{})
-		}
-		m.spaces[i] = sp
+		m.spaces[i] = newSpace(i, ng)
 	}
 	return m
 }
-
-// Space returns an application's address space.
-func (m *Manager) Space(app int) *Space { return m.spaces[app] }
-
-// NumSpaces reports how many address spaces exist (including released ones —
-// space slots are reused by the online serving layer).
-func (m *Manager) NumSpaces() int { return len(m.spaces) }
 
 // AddSpace appends a fresh empty address space and returns its id. The
 // online serving layer uses it when a tenant attaches to a slot beyond the
 // spaces created at construction.
 func (m *Manager) AddSpace() int {
-	sp := &Space{
-		id:         len(m.spaces),
-		pageTable:  make(map[uint64]uint64),
-		byGroup:    make([]map[uint64]struct{}, m.cfg.ChannelGroups()),
-		allowed:    make([]bool, m.cfg.ChannelGroups()),
-		migrating:  make(map[uint64]bool),
-		pendingAll: make(map[uint64]struct{}),
-	}
-	for g := range sp.byGroup {
-		sp.byGroup[g] = make(map[uint64]struct{})
-	}
-	m.spaces = append(m.spaces, sp)
-	return sp.id
+	id := len(m.spaces)
+	m.spaces = append(m.spaces, newSpace(id, len(m.frames)))
+	return id
 }
 
 // ReleaseSpace unmaps every page of the application and recycles the backing
@@ -154,41 +201,29 @@ func (m *Manager) AddSpace() int {
 // by a later tenant on the same slot; its group set is cleared.
 func (m *Manager) ReleaseSpace(app int) int {
 	sp := m.spaces[app]
-	if len(sp.migrating) != 0 {
-		panic(fmt.Sprintf("vm: releasing app %d with %d migrations in flight", app, len(sp.migrating)))
+	if sp.migrating != 0 {
+		panic(fmt.Sprintf("vm: releasing app %d with %d migrations in flight", app, sp.migrating))
 	}
-	vpns := make([]uint64, 0, len(sp.pageTable))
-	for vpn := range sp.pageTable {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	for _, vpn := range vpns {
-		pa := sp.pageTable[vpn]
-		group := m.mapper.ChannelGroup(pa)
-		delete(sp.pageTable, vpn)
-		delete(sp.byGroup[group], vpn)
-		delete(m.frameTag, pa)
-		delete(m.frameOwner, pa)
-		if !m.deadGroup[group] {
-			_, frame := m.mapper.FrameOf(pa)
-			m.recycled[group] = append(m.recycled[group], frame)
+	n := sp.pages
+	for _, e := range sp.pt {
+		if e == 0 {
+			continue
 		}
+		m.release(e - 1)
 		m.stats.Freed++
 		m.stats.Allocated--
 	}
-	for vpn := range sp.pendingAll {
-		delete(sp.pendingAll, vpn)
-	}
+	sp.pt, sp.flags = sp.pt[:0], sp.flags[:0]
+	sp.pages, sp.pending = 0, 0
+	clear(sp.groupN)
 	sp.rebalancing = false
 	sp.groups = sp.groups[:0]
-	for i := range sp.allowed {
-		sp.allowed[i] = false
-	}
-	return len(vpns)
+	clear(sp.allowed)
+	return n
 }
 
 // PageCount reports the application's resident page count.
-func (m *Manager) PageCount(app int) int { return len(m.spaces[app].pageTable) }
+func (m *Manager) PageCount(app int) int { return m.spaces[app].pages }
 
 // Stats returns a copy of the counters.
 func (m *Manager) Stats() Stats { return m.stats }
@@ -208,9 +243,7 @@ func ContentTag(app int, vpn uint64) uint64 {
 func (m *Manager) SetGroups(app int, groups []int) {
 	sp := m.spaces[app]
 	sp.groups = append(sp.groups[:0], groups...)
-	for i := range sp.allowed {
-		sp.allowed[i] = false
-	}
+	clear(sp.allowed)
 	for _, g := range groups {
 		sp.allowed[g] = true
 	}
@@ -218,8 +251,7 @@ func (m *Manager) SetGroups(app int, groups []int) {
 
 // Translate looks up a virtual page. ok is false on a page-table miss.
 func (m *Manager) Translate(app int, vpn uint64) (pa uint64, ok bool) {
-	pa, ok = m.spaces[app].pageTable[vpn]
-	return pa, ok
+	return m.spaces[app].lookup(vpn)
 }
 
 // InAllowedGroup reports whether a physical page lies in one of the
@@ -232,13 +264,13 @@ func (m *Manager) InAllowedGroup(app int, pa uint64) bool {
 // leastUsedGroup picks the allocated group holding the fewest of the app's
 // pages — the paper's "allocating physical memory pages from the least used
 // memory channels".
-func (m *Manager) leastUsedGroup(sp *Space) int {
+func (m *Manager) leastUsedGroup(sp *space) int {
 	best, bestN := -1, int(^uint(0)>>1)
 	for _, g := range sp.groups {
 		if m.deadGroup[g] {
 			continue // defensive: faulted groups never receive new frames
 		}
-		if n := len(sp.byGroup[g]); n < bestN {
+		if n := sp.groupN[g]; n < bestN {
 			best, bestN = g, n
 		}
 	}
@@ -257,28 +289,48 @@ func (m *Manager) allocFrame(group int) uint64 {
 		m.recycled[group] = m.recycled[group][:n-1]
 		return f
 	}
-	if m.nextFrame[group] >= m.mapper.FramesPerGroup() {
+	f := uint64(len(m.frames[group]))
+	if f >= m.mapper.FramesPerGroup() {
 		panic(fmt.Sprintf("vm: channel group %d out of physical frames", group))
 	}
-	f := m.nextFrame[group]
-	m.nextFrame[group]++
+	m.frames[group] = append(m.frames[group], freeFrame)
 	return f
+}
+
+// frame returns the record of the frame at physical page base pa.
+func (m *Manager) frame(pa uint64) *frameRec {
+	g, f := m.mapper.FrameOf(pa)
+	return &m.frames[g][f]
+}
+
+// release clears the record of the frame at pa and, unless its group is
+// dead, pushes it on the group's free stack.
+func (m *Manager) release(pa uint64) {
+	g, f := m.mapper.FrameOf(pa)
+	m.frames[g][f] = freeFrame
+	if !m.deadGroup[g] {
+		m.recycled[g] = append(m.recycled[g], f)
+	}
 }
 
 // HandleFault allocates a physical frame for (app, vpn) and maps it. It
 // panics if the page is already mapped; callers must Translate first.
 func (m *Manager) HandleFault(app int, vpn uint64) uint64 {
 	sp := m.spaces[app]
-	if _, dup := sp.pageTable[vpn]; dup {
+	if _, dup := sp.lookup(vpn); dup {
 		panic(fmt.Sprintf("vm: double fault for app %d vpn %#x", app, vpn))
 	}
 	group := m.leastUsedGroup(sp)
 	frame := m.allocFrame(group)
 	pa := m.mapper.FrameBase(group, frame)
-	sp.pageTable[vpn] = pa
-	sp.byGroup[group][vpn] = struct{}{}
-	m.frameTag[pa] = ContentTag(app, vpn)
-	m.frameOwner[pa] = [2]uint64{uint64(app), vpn}
+	if n := int(vpn) + 1; n > len(sp.pt) {
+		sp.pt = append(sp.pt, make([]uint64, n-len(sp.pt))...)
+		sp.flags = append(sp.flags, make([]uint8, n-len(sp.flags))...)
+	}
+	sp.pt[vpn] = pa + 1
+	sp.pages++
+	sp.groupN[group]++
+	m.frames[group][frame] = frameRec{tag: ContentTag(app, vpn), vpn: vpn, app: int32(app)}
 	m.stats.Faults++
 	m.stats.Allocated++
 	return pa
@@ -291,7 +343,7 @@ func (m *Manager) CheckRead(app int, vpn uint64) error {
 	if !ok {
 		return fmt.Errorf("vm: app %d vpn %#x not mapped", app, vpn)
 	}
-	if got, want := m.frameTag[pa], ContentTag(app, vpn); got != want {
+	if got, want := m.frame(pa).tag, ContentTag(app, vpn); got != want {
 		return fmt.Errorf("vm: app %d vpn %#x at %#x holds tag %#x, want %#x", app, vpn, pa, got, want)
 	}
 	return nil
@@ -315,35 +367,33 @@ type Migration struct {
 // toGroup >= 0 forces a specific destination group.
 func (m *Manager) PlanMigration(app int, vpn uint64, toGroup int) *Migration {
 	sp := m.spaces[app]
-	pa, ok := sp.pageTable[vpn]
-	if !ok || sp.migrating[vpn] {
+	pa, ok := sp.lookup(vpn)
+	if !ok || sp.has(vpn, flagMigrating) {
 		return nil
 	}
 	srcGroup := m.mapper.ChannelGroup(pa)
 	dstGroup := toGroup
 	if dstGroup < 0 {
 		dstGroup = m.leastUsedGroup(sp)
-		if srcGroup == dstGroup {
-			// For a forced reshuffle (pendingAll) any other allowed group
-			// will do; otherwise there is nothing to move.
-			if _, forced := sp.pendingAll[vpn]; forced {
-				for _, g := range sp.groups {
-					if g != srcGroup {
-						dstGroup = g
-						break
-					}
+		if srcGroup == dstGroup && sp.has(vpn, flagPending) {
+			// For a forced reshuffle any other allowed group will do;
+			// otherwise there is nothing to move.
+			for _, g := range sp.groups {
+				if g != srcGroup {
+					dstGroup = g
+					break
 				}
 			}
 		}
 	}
 	if srcGroup == dstGroup {
 		// Nothing to move; a forced reshuffle to nowhere is just cleared.
-		delete(sp.pendingAll, vpn)
+		sp.clearFlags(vpn, flagPending)
 		return nil
 	}
 	frame := m.allocFrame(dstGroup)
 	dstPA := m.mapper.FrameBase(dstGroup, frame)
-	sp.migrating[vpn] = true
+	sp.setFlags(vpn, flagMigrating)
 	return &Migration{
 		App:   app,
 		VPN:   vpn,
@@ -355,32 +405,27 @@ func (m *Manager) PlanMigration(app int, vpn uint64, toGroup int) *Migration {
 	}
 }
 
+// rehome points (sp, vpn) at dstPA, whose frame takes over the content tag
+// of srcPA's (the data moved with the page), and frees srcPA's frame.
+func (m *Manager) rehome(sp *space, vpn, srcPA, dstPA uint64) {
+	sp.pt[vpn] = dstPA + 1
+	sp.groupN[m.mapper.ChannelGroup(srcPA)]--
+	sp.groupN[m.mapper.ChannelGroup(dstPA)]++
+	sp.clearFlags(vpn, flagMigrating|flagPending)
+	*m.frame(dstPA) = frameRec{tag: m.frame(srcPA).tag, vpn: vpn, app: int32(sp.id)}
+	m.release(srcPA)
+}
+
 // Commit finalises the migration: the page table now points at the new
 // frame, the content tag moves with the data, and the old frame is
 // recycled.
 func (mig *Migration) Commit() {
 	m := mig.m
 	sp := m.spaces[mig.App]
-	srcGroup := m.mapper.ChannelGroup(mig.SrcPA)
-	dstGroup := m.mapper.ChannelGroup(mig.DstPA)
-
-	sp.pageTable[mig.VPN] = mig.DstPA
-	delete(sp.byGroup[srcGroup], mig.VPN)
-	sp.byGroup[dstGroup][mig.VPN] = struct{}{}
-	delete(sp.migrating, mig.VPN)
-	delete(sp.pendingAll, mig.VPN)
-
-	m.frameTag[mig.DstPA] = m.frameTag[mig.SrcPA] // the copy moved the data
-	m.frameOwner[mig.DstPA] = [2]uint64{uint64(mig.App), mig.VPN}
-	delete(m.frameTag, mig.SrcPA)
-	delete(m.frameOwner, mig.SrcPA)
-	if !m.deadGroup[srcGroup] {
-		_, frame := m.mapper.FrameOf(mig.SrcPA)
-		m.recycled[srcGroup] = append(m.recycled[srcGroup], frame)
-	}
+	m.rehome(sp, mig.VPN, mig.SrcPA, mig.DstPA)
 	m.stats.Migrations++
 	m.stats.Freed++
-	if sp.rebalancing && m.balanced(sp) {
+	if sp.rebalancing && sp.balanced() {
 		sp.rebalancing = false // Section 4.4: driver clears the register
 	}
 }
@@ -388,13 +433,8 @@ func (mig *Migration) Commit() {
 // Abort releases the reserved destination frame without moving the page.
 func (mig *Migration) Abort() {
 	m := mig.m
-	sp := m.spaces[mig.App]
-	dstGroup := m.mapper.ChannelGroup(mig.DstPA)
-	if !m.deadGroup[dstGroup] {
-		_, frame := m.mapper.FrameOf(mig.DstPA)
-		m.recycled[dstGroup] = append(m.recycled[dstGroup], frame)
-	}
-	delete(sp.migrating, mig.VPN)
+	m.release(mig.DstPA)
+	m.spaces[mig.App].clearFlags(mig.VPN, flagMigrating)
 }
 
 // FailGroup marks a channel group as lost to a hardware fault. Frames on the
@@ -410,17 +450,25 @@ func (m *Manager) FailGroup(group int) {
 func (m *Manager) GroupDead(group int) bool { return m.deadGroup[group] }
 
 // PagesOnGroup lists the app's resident pages on the given channel group in
-// ascending VPN order (deterministic), skipping pages already migrating.
+// ascending VPN order, skipping pages already migrating.
 func (m *Manager) PagesOnGroup(app, group int) []uint64 {
 	sp := m.spaces[app]
-	out := make([]uint64, 0, len(sp.byGroup[group]))
-	for vpn := range sp.byGroup[group] {
-		if sp.migrating[vpn] {
+	left := sp.groupN[group]
+	if left == 0 {
+		return nil
+	}
+	out := make([]uint64, 0, left)
+	for vpn, e := range sp.pt {
+		if e == 0 || m.mapper.ChannelGroup(e-1) != group {
 			continue
 		}
-		out = append(out, vpn)
+		if sp.flags[vpn]&flagMigrating == 0 {
+			out = append(out, uint64(vpn))
+		}
+		if left--; left == 0 {
+			break
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -433,32 +481,16 @@ func (m *Manager) PagesOnGroup(app, group int) []uint64 {
 // with nothing to do.
 func (m *Manager) RemapPage(app int, vpn uint64) (newPA uint64, ok bool) {
 	sp := m.spaces[app]
-	pa, mapped := sp.pageTable[vpn]
+	pa, mapped := sp.lookup(vpn)
 	if !mapped {
 		return 0, false
 	}
-	srcGroup := m.mapper.ChannelGroup(pa)
 	dstGroup := m.leastUsedGroup(sp)
-	if dstGroup == srcGroup {
+	if dstGroup == m.mapper.ChannelGroup(pa) {
 		return pa, false
 	}
-	frame := m.allocFrame(dstGroup)
-	dstPA := m.mapper.FrameBase(dstGroup, frame)
-
-	sp.pageTable[vpn] = dstPA
-	delete(sp.byGroup[srcGroup], vpn)
-	sp.byGroup[dstGroup][vpn] = struct{}{}
-	delete(sp.migrating, vpn)
-	delete(sp.pendingAll, vpn)
-
-	m.frameTag[dstPA] = m.frameTag[pa] // driver copied the data
-	m.frameOwner[dstPA] = [2]uint64{uint64(app), vpn}
-	delete(m.frameTag, pa)
-	delete(m.frameOwner, pa)
-	if !m.deadGroup[srcGroup] {
-		_, srcFrame := m.mapper.FrameOf(pa)
-		m.recycled[srcGroup] = append(m.recycled[srcGroup], srcFrame)
-	}
+	dstPA := m.mapper.FrameBase(dstGroup, m.allocFrame(dstGroup))
+	m.rehome(sp, vpn, pa, dstPA) // the driver copied the data
 	m.stats.Remaps++
 	m.stats.Freed++
 	return dstPA, true
@@ -470,13 +502,12 @@ func (m *Manager) RemapPage(app int, vpn uint64) (newPA uint64, ok bool) {
 // DRAM hierarchy.
 func (m *Manager) MarkAllPending(app int) {
 	sp := m.spaces[app]
-	for vpn := range sp.pageTable {
-		sp.pendingAll[vpn] = struct{}{}
+	for vpn, e := range sp.pt {
+		if e != 0 {
+			sp.setFlags(uint64(vpn), flagPending)
+		}
 	}
 }
-
-// PendingAll reports how many forced-migration pages remain.
-func (m *Manager) PendingAll(app int) int { return len(m.spaces[app].pendingAll) }
 
 // NeedsMigration reports whether an access to (app, vpn) backed by pa
 // requires a blocking page migration: the frame is outside the allowed
@@ -484,11 +515,7 @@ func (m *Manager) PendingAll(app int) int { return len(m.spaces[app].pendingAll)
 // cannot proceed until the page moves (its channel belongs to another app).
 func (m *Manager) NeedsMigration(app int, vpn, pa uint64) bool {
 	sp := m.spaces[app]
-	if !sp.allowed[m.mapper.ChannelGroup(pa)] {
-		return true
-	}
-	_, forced := sp.pendingAll[vpn]
-	return forced
+	return !sp.allowed[m.mapper.ChannelGroup(pa)] || sp.has(vpn, flagPending)
 }
 
 // WantsRebalance reports whether an access to (app, vpn) backed by pa
@@ -497,15 +524,15 @@ func (m *Manager) NeedsMigration(app int, vpn, pa uint64) bool {
 // The access itself proceeds in place (the frame is still owned).
 func (m *Manager) WantsRebalance(app int, vpn, pa uint64) bool {
 	sp := m.spaces[app]
-	if !sp.rebalancing || sp.migrating[vpn] {
+	if !sp.rebalancing || sp.has(vpn, flagMigrating) {
 		return false
 	}
 	g := m.mapper.ChannelGroup(pa)
 	if !sp.allowed[g] {
 		return false // handled by NeedsMigration
 	}
-	target := len(sp.pageTable)/len(sp.groups) + 1
-	return len(sp.byGroup[g]) > target+target/4
+	target := sp.pages/len(sp.groups) + 1
+	return sp.groupN[g] > target+target/4
 }
 
 // SetRebalancing sets the app's channel-list register state: while true,
@@ -519,37 +546,55 @@ func (m *Manager) SetRebalancing(app int, on bool) {
 // Rebalancing reports the app's channel-list register state.
 func (m *Manager) Rebalancing(app int) bool { return m.spaces[app].rebalancing }
 
-// balanced reports whether the app's per-group page counts are within 25%
-// of the mean.
-func (m *Manager) balanced(sp *Space) bool {
-	if len(sp.groups) == 0 {
-		return true
-	}
-	target := len(sp.pageTable)/len(sp.groups) + 1
-	for _, g := range sp.groups {
-		if n := len(sp.byGroup[g]); n > target+target/4 {
-			return false
-		}
-	}
-	return true
-}
-
 // PagesToMigrate lists up to limit pages that a background scrubber should
-// move: pages outside the allowed groups first, then forced-reshuffle pages.
+// move, each in ascending VPN order: pages outside the allowed groups first,
+// then forced-reshuffle pages.
 func (m *Manager) PagesToMigrate(app int, limit int) []uint64 {
 	out := m.PagesOutside(app, limit)
-	if limit > 0 && len(out) >= limit {
-		return out
-	}
 	sp := m.spaces[app]
-	for vpn := range sp.pendingAll {
-		if sp.migrating[vpn] {
+	if left := sp.pending; left > 0 && (limit <= 0 || len(out) < limit) {
+		for vpn, f := range sp.flags {
+			if f&flagPending == 0 {
+				continue
+			}
+			// Pages outside the allowed groups were listed above.
+			if f&flagMigrating == 0 && sp.allowed[m.mapper.ChannelGroup(sp.pt[vpn]-1)] {
+				out = append(out, uint64(vpn))
+				if limit > 0 && len(out) >= limit {
+					break
+				}
+			}
+			if left--; left == 0 {
+				break
+			}
+		}
+	}
+	return out
+}
+
+// PagesOutside lists, in ascending VPN order, up to limit resident pages
+// that are NOT in the application's allowed groups — the pages a background
+// scrubber or fault-driven path must migrate after a reallocation. limit <= 0
+// means all.
+func (m *Manager) PagesOutside(app int, limit int) []uint64 {
+	sp := m.spaces[app]
+	left := 0
+	for g, n := range sp.groupN {
+		if !sp.allowed[g] {
+			left += n
+		}
+	}
+	var out []uint64
+	for vpn := 0; left > 0 && vpn < len(sp.pt); vpn++ {
+		e := sp.pt[vpn]
+		if e == 0 || sp.allowed[m.mapper.ChannelGroup(e-1)] {
 			continue
 		}
-		if g := m.mapper.ChannelGroup(sp.pageTable[vpn]); !sp.allowed[g] {
-			continue // already listed by PagesOutside
+		left--
+		if sp.flags[vpn]&flagMigrating != 0 {
+			continue
 		}
-		out = append(out, vpn)
+		out = append(out, uint64(vpn))
 		if limit > 0 && len(out) >= limit {
 			break
 		}
@@ -557,54 +602,37 @@ func (m *Manager) PagesToMigrate(app int, limit int) []uint64 {
 	return out
 }
 
-// PagesOutside lists up to limit resident pages that are NOT in the
-// application's allowed groups — the pages a background scrubber or
-// fault-driven path must migrate after a reallocation. limit <= 0 means all.
-func (m *Manager) PagesOutside(app int, limit int) []uint64 {
-	sp := m.spaces[app]
-	var out []uint64
-	for g, set := range sp.byGroup {
-		if sp.allowed[g] {
-			continue
-		}
-		for vpn := range set {
-			if sp.migrating[vpn] {
-				continue
-			}
-			out = append(out, vpn)
-			if limit > 0 && len(out) >= limit {
-				return out
-			}
-		}
-	}
-	return out
-}
-
-// ImbalancePages lists up to limit pages that should move to newly allocated
-// (under-used) groups to balance page counts across the app's groups —
-// Section 4.4's inbound migration for apps that gained channels. Pages are
-// drawn from the most-loaded groups.
+// ImbalancePages lists, in ascending VPN order, up to limit pages that should
+// move to newly allocated (under-used) groups to balance page counts across
+// the app's groups — Section 4.4's inbound migration for apps that gained
+// channels. Pages are drawn from the groups holding more than their share.
 func (m *Manager) ImbalancePages(app int, limit int) []uint64 {
 	sp := m.spaces[app]
-	if len(sp.groups) < 2 || len(sp.pageTable) == 0 {
+	if len(sp.groups) < 2 || sp.pages == 0 {
 		return nil
 	}
-	target := len(sp.pageTable) / len(sp.groups)
-	var out []uint64
+	target := sp.pages / len(sp.groups)
+	excess, left := m.perGroupN, 0
+	clear(excess)
 	for _, g := range sp.groups {
-		excess := len(sp.byGroup[g]) - target - 1
-		if excess <= 0 {
+		if n := sp.groupN[g] - target - 1; n > 0 {
+			excess[g] = n
+			left += n
+		}
+	}
+	var out []uint64
+	for vpn := 0; left > 0 && vpn < len(sp.pt); vpn++ {
+		e := sp.pt[vpn]
+		if e == 0 || sp.flags[vpn]&flagMigrating != 0 {
 			continue
 		}
-		for vpn := range sp.byGroup[g] {
-			if excess <= 0 || (limit > 0 && len(out) >= limit) {
+		if g := m.mapper.ChannelGroup(e - 1); excess[g] > 0 {
+			out = append(out, uint64(vpn))
+			excess[g]--
+			left--
+			if limit > 0 && len(out) >= limit {
 				break
 			}
-			if sp.migrating[vpn] {
-				continue
-			}
-			out = append(out, vpn)
-			excess--
 		}
 	}
 	return out
@@ -612,59 +640,95 @@ func (m *Manager) ImbalancePages(app int, limit int) []uint64 {
 
 // GroupLoad reports the app's resident page count per channel group.
 func (m *Manager) GroupLoad(app int) []int {
-	sp := m.spaces[app]
-	load := make([]int, len(sp.byGroup))
-	for g, set := range sp.byGroup {
-		load[g] = len(set)
+	return append([]int(nil), m.spaces[app].groupN...)
+}
+
+// nextMark returns a stamp no frame record carries yet.
+func (m *Manager) nextMark() uint32 {
+	m.mark++
+	if m.mark == 0 { // wrapped: wipe old stamps so none can match
+		for _, recs := range m.frames {
+			for f := range recs {
+				recs[f].mark = 0
+			}
+		}
+		m.mark = 1
 	}
-	return load
+	return m.mark
 }
 
 // CheckInvariants validates global frame bookkeeping: every mapped page's
-// frame is owned by exactly that page, and no frame is mapped twice.
+// frame is owned by exactly that page, no frame is mapped twice, the
+// per-group and per-flag counts match the page tables, and every free list
+// holds distinct, unowned frames below its group's bump cursor. It walks the
+// tables linearly, stamping frame records to detect duplicates, and
+// allocates nothing unless it reports an error.
 func (m *Manager) CheckInvariants() error {
-	seen := make(map[uint64][2]uint64)
+	mapped := m.nextMark()
+	count := m.perGroupN
 	for app, sp := range m.spaces {
-		for vpn, pa := range sp.pageTable {
-			if prev, dup := seen[pa]; dup {
-				return fmt.Errorf("vm: frame %#x mapped by both app%d/%#x and app%d/%#x", pa, prev[0], prev[1], app, vpn)
+		clear(count)
+		pages, migrating, pending := 0, 0, 0
+		for i, e := range sp.pt {
+			vpn, f := uint64(i), sp.flags[i]
+			if e == 0 {
+				if f != 0 {
+					return fmt.Errorf("vm: app %d vpn %#x unmapped but flagged %#x", app, vpn, f)
+				}
+				continue
 			}
-			seen[pa] = [2]uint64{uint64(app), vpn}
-			if owner, ok := m.frameOwner[pa]; !ok || owner != [2]uint64{uint64(app), vpn} {
-				return fmt.Errorf("vm: frame %#x owner record %v, want app%d/%#x", pa, owner, app, vpn)
+			pages++
+			if f&flagMigrating != 0 {
+				migrating++
 			}
-			group := m.mapper.ChannelGroup(pa)
-			if _, ok := sp.byGroup[group][vpn]; !ok {
-				return fmt.Errorf("vm: app %d vpn %#x missing from group %d index", app, vpn, group)
+			if f&flagPending != 0 {
+				pending++
+			}
+			pa := e - 1
+			g, fr := m.mapper.FrameOf(pa)
+			if fr >= uint64(len(m.frames[g])) {
+				return fmt.Errorf("vm: app %d vpn %#x maps frame %#x beyond group %d bump cursor %d", app, vpn, pa, g, len(m.frames[g]))
+			}
+			rec := &m.frames[g][fr]
+			if rec.mark == mapped {
+				return fmt.Errorf("vm: frame %#x mapped by both app%d/%#x and app%d/%#x", pa, rec.app, rec.vpn, app, vpn)
+			}
+			rec.mark = mapped
+			if int(rec.app) != app || rec.vpn != vpn {
+				return fmt.Errorf("vm: frame %#x owner record app%d/%#x, want app%d/%#x", pa, rec.app, rec.vpn, app, vpn)
+			}
+			count[g]++
+		}
+		for g, n := range sp.groupN {
+			if n != count[g] {
+				return fmt.Errorf("vm: app %d group %d index holds %d pages, page table %d", app, g, n, count[g])
 			}
 		}
-		total := 0
-		for _, set := range sp.byGroup {
-			total += len(set)
-		}
-		if total != len(sp.pageTable) {
-			return fmt.Errorf("vm: app %d group index holds %d pages, page table %d", app, total, len(sp.pageTable))
+		if pages != sp.pages || migrating != sp.migrating || pending != sp.pending {
+			return fmt.Errorf("vm: app %d counts pages/migrating/pending %d/%d/%d, page table %d/%d/%d",
+				app, sp.pages, sp.migrating, sp.pending, pages, migrating, pending)
 		}
 	}
-	for g := range m.recycled {
-		if m.deadGroup[g] && len(m.recycled[g]) != 0 {
-			return fmt.Errorf("vm: dead group %d has %d recycled frames", g, len(m.recycled[g]))
+	free := m.nextMark()
+	for g, list := range m.recycled {
+		cursor := uint64(len(m.frames[g]))
+		if m.deadGroup[g] && len(list) != 0 {
+			return fmt.Errorf("vm: dead group %d has %d recycled frames", g, len(list))
 		}
-		if uint64(len(m.recycled[g])) > m.nextFrame[g] {
-			return fmt.Errorf("vm: group %d free list (%d) exceeds frames ever allocated (%d)", g, len(m.recycled[g]), m.nextFrame[g])
+		if uint64(len(list)) > cursor {
+			return fmt.Errorf("vm: group %d free list (%d) exceeds frames ever allocated (%d)", g, len(list), cursor)
 		}
-		inList := make(map[uint64]bool, len(m.recycled[g]))
-		for _, f := range m.recycled[g] {
-			if f >= m.nextFrame[g] {
-				return fmt.Errorf("vm: group %d recycled frame %d beyond bump cursor %d", g, f, m.nextFrame[g])
+		for _, f := range list {
+			if f >= cursor {
+				return fmt.Errorf("vm: group %d recycled frame %d beyond bump cursor %d", g, f, cursor)
 			}
-			if inList[f] {
+			rec := &m.frames[g][f]
+			if rec.mark == free {
 				return fmt.Errorf("vm: group %d frame %d recycled twice", g, f)
 			}
-			inList[f] = true
-			pa := m.mapper.FrameBase(g, f)
-			if owner, owned := m.frameOwner[pa]; owned {
-				return fmt.Errorf("vm: group %d frame %d on free list but owned by app%d/%#x", g, f, owner[0], owner[1])
+			rec.mark = free
+			if rec.app >= 0 {
+				return fmt.Errorf("vm: group %d frame %d on free list but owned by app%d/%#x", g, f, rec.app, rec.vpn)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -159,7 +160,7 @@ func TestMigrationAbortRecyclesFrame(t *testing.T) {
 	if mig == nil {
 		t.Fatal("no plan")
 	}
-	before := mgr.nextFrame[1]
+	before := len(mgr.frames[1])
 	mig.Abort()
 	// The reserved frame must be reused by the next allocation in group 1.
 	mig2 := mgr.PlanMigration(0, 1, 1)
@@ -169,7 +170,7 @@ func TestMigrationAbortRecyclesFrame(t *testing.T) {
 	if mig2.DstPA != mig.DstPA {
 		t.Errorf("aborted frame not recycled: %#x vs %#x", mig2.DstPA, mig.DstPA)
 	}
-	if mgr.nextFrame[1] != before {
+	if len(mgr.frames[1]) != before {
 		t.Error("abort leaked a fresh frame")
 	}
 	mig2.Commit()
@@ -315,4 +316,120 @@ func TestQuickMigrationInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// populated returns a manager with two tenants of 64 pages each and one
+// committed migration, so group srcGroup's free list holds a frame.
+func populated(t *testing.T) (mgr *Manager, mapper *addr.CustomMapper, srcGroup int) {
+	t.Helper()
+	mgr, mapper, _ = newManager(t, 2)
+	mgr.SetGroups(0, []int{0, 1, 2, 3})
+	mgr.SetGroups(1, []int{4, 5, 6, 7})
+	for vpn := uint64(0); vpn < 64; vpn++ {
+		mgr.HandleFault(0, vpn)
+		mgr.HandleFault(1, vpn)
+	}
+	pa, _ := mgr.Translate(0, 0)
+	srcGroup = mapper.ChannelGroup(pa)
+	mgr.PlanMigration(0, 0, (srcGroup+1)%4).Commit()
+	if err := mgr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return mgr, mapper, srcGroup
+}
+
+func TestCheckInvariantsDetectsCorruption(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(m *Manager, mapper *addr.CustomMapper, g int)
+		want    string
+	}{
+		{"frame mapped by two spaces", func(m *Manager, _ *addr.CustomMapper, _ int) {
+			m.spaces[1].pt[5] = m.spaces[0].pt[3]
+		}, "mapped by both"},
+		{"owner record disagrees with page table", func(m *Manager, _ *addr.CustomMapper, _ int) {
+			pa, _ := m.Translate(1, 9)
+			m.frame(pa).vpn++
+		}, "owner record"},
+		{"per-group count drifts", func(m *Manager, _ *addr.CustomMapper, _ int) {
+			m.spaces[0].groupN[0]++
+			m.spaces[0].groupN[1]--
+		}, "index holds"},
+		{"frame on free list twice", func(m *Manager, _ *addr.CustomMapper, g int) {
+			m.recycled[g] = append(m.recycled[g], m.recycled[g][0])
+		}, "recycled twice"},
+		{"owned frame on free list", func(m *Manager, mapper *addr.CustomMapper, _ int) {
+			pa, _ := m.Translate(0, 7)
+			g, f := mapper.FrameOf(pa)
+			m.recycled[g] = append(m.recycled[g], f)
+		}, "on free list but owned"},
+		{"recycled frame beyond bump cursor", func(m *Manager, _ *addr.CustomMapper, g int) {
+			m.recycled[g] = append(m.recycled[g], uint64(len(m.frames[g])))
+		}, "beyond bump cursor"},
+		{"dead group with recycled frames", func(m *Manager, _ *addr.CustomMapper, g int) {
+			m.deadGroup[g] = true
+		}, "dead group"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mgr, mapper, g := populated(t)
+			tc.corrupt(mgr, mapper, g)
+			err := mgr.CheckInvariants()
+			if err == nil {
+				t.Fatal("CheckInvariants accepted corrupted bookkeeping")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("CheckInvariants = %q, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
+
+	t.Run("content tag", func(t *testing.T) {
+		mgr, _, _ := populated(t)
+		pa, _ := mgr.Translate(1, 11)
+		mgr.frame(pa).tag ^= 1
+		if err := mgr.CheckRead(1, 11); err == nil {
+			t.Error("CheckRead accepted a corrupted content tag")
+		}
+		if err := mgr.CheckRead(1, 12); err != nil {
+			t.Errorf("CheckRead of an intact neighbour: %v", err)
+		}
+	})
+}
+
+func TestScansListAscendingVPN(t *testing.T) {
+	mgr, _, _ := newManager(t, 1)
+	mgr.SetGroups(0, []int{0, 1})
+	for vpn := uint64(0); vpn < 100; vpn++ {
+		mgr.HandleFault(0, vpn)
+	}
+	ascending := func(name string, vpns []uint64, want int) {
+		t.Helper()
+		if len(vpns) != want {
+			t.Errorf("%s listed %d pages, want %d", name, len(vpns), want)
+		}
+		for i := 1; i < len(vpns); i++ {
+			if vpns[i] <= vpns[i-1] {
+				t.Fatalf("%s not ascending: %v", name, vpns)
+			}
+		}
+	}
+	// Nothing stranded, pending or over-loaded: every scan is empty.
+	if n := len(mgr.PagesToMigrate(0, 0)) + len(mgr.ImbalancePages(0, 0)); n != 0 {
+		t.Errorf("balanced space lists %d pages to move", n)
+	}
+	ascending("PagesOnGroup", mgr.PagesOnGroup(0, 1), 50)
+
+	mgr.SetGroups(0, []int{1, 2, 3})
+	ascending("PagesOutside", mgr.PagesOutside(0, 0), 50)
+	ascending("PagesOutside(limit)", mgr.PagesOutside(0, 8), 8)
+	if got := mgr.PagesOutside(0, 1); got[0] != 0 {
+		t.Errorf("first stranded page = %d, want 0", got[0])
+	}
+	ascending("ImbalancePages", mgr.ImbalancePages(0, 0), 50-100/3-1)
+
+	mgr.SetGroups(0, []int{0, 1})
+	mgr.MarkAllPending(0)
+	ascending("PagesToMigrate", mgr.PagesToMigrate(0, 0), 100)
+	ascending("PagesToMigrate(limit)", mgr.PagesToMigrate(0, 10), 10)
 }
