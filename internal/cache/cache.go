@@ -179,91 +179,3 @@ func (c *Cache) CheckInvariants() bool {
 	}
 	return true
 }
-
-// MSHR tracks outstanding misses and merges requests to the same line.
-// Waiter slices retired via Recycle are reused for later allocations, so the
-// steady-state miss path does not allocate per outstanding line.
-type MSHR struct {
-	capacity int
-	maxMerge int
-	entries  map[uint64][]any
-	free     [][]any // recycled waiter-slice backing arrays
-}
-
-// NewMSHR builds an MSHR file with the given entry capacity. maxMerge bounds
-// waiters merged per line (0 means unlimited).
-func NewMSHR(capacity, maxMerge int) *MSHR {
-	if capacity <= 0 {
-		panic("cache: MSHR capacity must be positive")
-	}
-	return &MSHR{capacity: capacity, maxMerge: maxMerge, entries: make(map[uint64][]any, capacity)}
-}
-
-// Lookup reports whether a miss for the line is already outstanding.
-func (m *MSHR) Lookup(line uint64) bool {
-	_, ok := m.entries[line]
-	return ok
-}
-
-// Add registers a waiter for the line. It returns (allocated, ok): ok is
-// false if the MSHR is full (new line) or the merge limit is reached;
-// allocated is true when this call created the entry — the caller must then
-// issue the fill request downstream.
-func (m *MSHR) Add(line uint64, waiter any) (allocated, ok bool) {
-	if ws, exists := m.entries[line]; exists {
-		if m.maxMerge > 0 && len(ws) >= m.maxMerge {
-			return false, false
-		}
-		m.entries[line] = append(ws, waiter)
-		return false, true
-	}
-	if len(m.entries) >= m.capacity {
-		return false, false
-	}
-	var ws []any
-	if n := len(m.free); n > 0 {
-		ws = m.free[n-1]
-		m.free = m.free[:n-1]
-	} else {
-		ws = make([]any, 0, 4)
-	}
-	m.entries[line] = append(ws, waiter)
-	return true, true
-}
-
-// Remove completes the line's miss and returns its waiters. Callers that
-// fully consume the returned slice should hand it back via Recycle.
-func (m *MSHR) Remove(line uint64) []any {
-	ws := m.entries[line]
-	delete(m.entries, line)
-	return ws
-}
-
-// Recycle returns a consumed waiter slice (from Remove) to the MSHR's
-// freelist. The caller must not retain the slice afterwards.
-func (m *MSHR) Recycle(ws []any) {
-	if cap(ws) == 0 || len(m.free) >= m.capacity {
-		return
-	}
-	ws = ws[:cap(ws)]
-	for i := range ws {
-		ws[i] = nil // drop waiter references for GC
-	}
-	m.free = append(m.free, ws[:0])
-}
-
-// Len reports the number of outstanding lines.
-func (m *MSHR) Len() int { return len(m.entries) }
-
-// Full reports whether no new line can be allocated.
-func (m *MSHR) Full() bool { return len(m.entries) >= m.capacity }
-
-// Clear drops all entries and returns every waiter (used on cache flushes).
-func (m *MSHR) Clear() []any {
-	var all []any
-	for _, ws := range m.entries {
-		all = append(all, ws...)
-	}
-	m.entries = make(map[uint64][]any, m.capacity)
-	return all
-}

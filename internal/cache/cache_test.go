@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ugpu/internal/digest"
 )
 
 func TestMissThenHit(t *testing.T) {
@@ -124,58 +126,37 @@ func TestHitRateReflectsWorkingSet(t *testing.T) {
 	}
 }
 
-func TestMSHRMergeAndCapacity(t *testing.T) {
-	m := NewMSHR(2, 0)
-	alloc, ok := m.Add(1, "a")
-	if !alloc || !ok {
-		t.Fatal("first Add should allocate")
+// TestAppendDigestPairMatchesSingle: the lockstep pair fold returns exactly
+// the two standalone digests, for equal and for mismatched geometries (the
+// longer array's tail folds alone), in either argument order.
+func TestAppendDigestPairMatchesSingle(t *testing.T) {
+	warm := func(c *Cache, seed int64) *Cache {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 500; i++ {
+			pa := uint64(rng.Intn(1<<14) * 128)
+			if !c.Access(pa) {
+				c.Fill(pa)
+			}
+		}
+		return c
 	}
-	alloc, ok = m.Add(1, "b")
-	if alloc || !ok {
-		t.Fatal("second Add to same line should merge")
+	cases := []struct {
+		name string
+		a, b *Cache
+	}{
+		{"equal", warm(New(64, 6, 128), 1), warm(New(64, 6, 128), 2)},
+		{"identical", warm(New(16, 4, 128), 3), warm(New(16, 4, 128), 3)},
+		{"mismatched", warm(New(64, 6, 128), 4), warm(New(16, 4, 128), 5)},
+		{"empty", New(8, 2, 128), warm(New(32, 8, 128), 6)},
 	}
-	if alloc, ok = m.Add(2, "c"); !alloc || !ok {
-		t.Fatal("second line should allocate")
-	}
-	if _, ok = m.Add(3, "d"); ok {
-		t.Fatal("MSHR overfull")
-	}
-	// Merging to existing lines still works when full.
-	if _, ok = m.Add(2, "e"); !ok {
-		t.Fatal("merge rejected while entries available")
-	}
-	ws := m.Remove(1)
-	if len(ws) != 2 || ws[0] != "a" || ws[1] != "b" {
-		t.Fatalf("Remove(1) = %v, want [a b]", ws)
-	}
-	if m.Len() != 1 {
-		t.Errorf("Len = %d, want 1", m.Len())
-	}
-	if _, ok = m.Add(3, "d"); !ok {
-		t.Fatal("Add after Remove should succeed")
-	}
-}
-
-func TestMSHRMergeLimit(t *testing.T) {
-	m := NewMSHR(4, 2)
-	m.Add(7, 1)
-	if _, ok := m.Add(7, 2); !ok {
-		t.Fatal("second waiter within merge limit rejected")
-	}
-	if _, ok := m.Add(7, 3); ok {
-		t.Fatal("merge limit not enforced")
-	}
-}
-
-func TestMSHRClear(t *testing.T) {
-	m := NewMSHR(8, 0)
-	m.Add(1, "a")
-	m.Add(2, "b")
-	all := m.Clear()
-	if len(all) != 2 {
-		t.Errorf("Clear returned %d waiters, want 2", len(all))
-	}
-	if m.Len() != 0 || m.Full() {
-		t.Error("MSHR not empty after Clear")
+	for _, c := range cases {
+		ha, hb := digest.New().U64(1), digest.New().U64(2)
+		wantA, wantB := c.a.AppendDigest(ha), c.b.AppendDigest(hb)
+		if gotA, gotB := AppendDigestPair(ha, c.a, hb, c.b); gotA != wantA || gotB != wantB {
+			t.Errorf("%s: pair = (%x, %x), want (%x, %x)", c.name, gotA, gotB, wantA, wantB)
+		}
+		if gotB, gotA := AppendDigestPair(hb, c.b, ha, c.a); gotA != wantA || gotB != wantB {
+			t.Errorf("%s (swapped): pair = (%x, %x), want (%x, %x)", c.name, gotB, gotA, wantB, wantA)
+		}
 	}
 }

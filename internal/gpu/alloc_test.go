@@ -89,8 +89,9 @@ func TestEpochBoundaryZeroAlloc(t *testing.T) {
 
 // TestCheckInvariantsZeroAlloc pins the epoch-boundary audit as
 // allocation-free on a populated two-tenant GPU: the VM audit walks dense
-// tables with stamps instead of building sets, and the SM-ownership pass
-// reuses a scratch slice.
+// tables with stamps instead of building sets, the SM-ownership pass
+// reuses a scratch slice, and the parked-LLC-request pass (run here on a
+// slice holding a legal parked queue) only reads.
 func TestCheckInvariantsZeroAlloc(t *testing.T) {
 	cfg := testConfig()
 	opt := DefaultOptions()
@@ -106,6 +107,8 @@ func TestCheckInvariantsZeroAlloc(t *testing.T) {
 	if g.VM().PageCount(0) == 0 || g.VM().PageCount(1) == 0 {
 		t.Fatal("tenants hold no pages")
 	}
+	fillSliceMSHR(g, 0)
+	parkLine(g, 0, 5)
 	if got := testing.AllocsPerRun(100, func() {
 		if err := g.CheckInvariants(); err != nil {
 			t.Fatal(err)

@@ -170,7 +170,7 @@ func (g *GPU) BeginDetach(cycle uint64, id int) error {
 		// Accesses parked on the SM's full L1 MSHR belong to warps that are
 		// being discarded; drop them as failSM does. In-flight loads already
 		// in the MSHR complete normally onto orphaned warps.
-		g.replayQ[smID] = g.replayQ[smID][:0]
+		g.replayQ[smID].reset()
 		g.sms[smID].Release(cycle)
 	}
 	app.SMs = app.SMs[:0]
@@ -220,8 +220,8 @@ func (g *GPU) refsApp(id int) bool {
 	if g.walker.PendingTagged(func(arg uint64) bool { return tlb.AppOf(arg) == id }) != 0 {
 		return true
 	}
-	for _, q := range g.replayQ {
-		for _, r := range q {
+	for i := range g.replayQ {
+		for _, r := range g.replayQ[i].pending() {
 			if r.app == id {
 				return true
 			}
@@ -278,7 +278,7 @@ func (g *GPU) ShedSMs(cycle uint64, id, n int) int {
 	}
 	g.injectContextTraffic(cycle, app)
 	for _, smID := range app.SMs[len(app.SMs)-n:] {
-		g.replayQ[smID] = g.replayQ[smID][:0]
+		g.replayQ[smID].reset()
 		g.sms[smID].Release(cycle)
 	}
 	app.SMs = app.SMs[:len(app.SMs)-n]

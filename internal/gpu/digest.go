@@ -22,6 +22,7 @@ package gpu
 import (
 	"strconv"
 
+	"ugpu/internal/cache"
 	"ugpu/internal/digest"
 	"ugpu/internal/sm"
 )
@@ -33,7 +34,7 @@ func (g *GPU) ensureDigestSupport() {
 		return
 	}
 	g.hashWarpFn = func(a any) digest.Hash {
-		return a.(*sm.Warp).AppendDigest(digest.New())
+		return a.(*sm.Warp).StandaloneDigest(g.digestGen)
 	}
 	g.hashMemReqFn = func(a any) digest.Hash {
 		r := a.(*memReq)
@@ -80,6 +81,7 @@ func (g *GPU) DigestComponents(rec *digest.Recorder) {
 	g.ensureDigestSupport()
 	g.settleParked()
 	rec.Reset()
+	g.digestGen++ // invalidates every warp's StandaloneDigest memo
 
 	h := digest.New().U64(g.cycle).U64(g.epochStart).U64(g.transVersion).
 		U64(g.checkTick).U64(g.dataMigCycles).U64(g.smMigCycles).
@@ -93,17 +95,17 @@ func (g *GPU) DigestComponents(rec *digest.Recorder) {
 	}
 	rec.Add("clock", h)
 
-	for i := range g.sms {
-		h := g.sms[i].AppendDigest(digest.New())
-		h = g.smL1[i].AppendDigest(h)
-		h = g.smMSHR[i].AppendDigest(h, g.hashWarpFn)
-		h = g.smL1TLB[i].AppendDigest(h)
-		h = h.U64(g.smBase[i]).Int(len(g.replayQ[i]))
-		for _, r := range g.replayQ[i] {
-			h = h.Int(r.app).U64(r.pa).U64(r.vpn)
-			h = r.w.AppendDigest(h)
-		}
-		rec.Add(g.digestSMNames[i], h)
+	// SMs and LLC slices digest two at a time: each component is an
+	// independent FNV chain, and folding a pair's tag arrays and replay
+	// queues in lockstep lets the CPU overlap the two chains' multiplies.
+	i := 0
+	for ; i+1 < len(g.sms); i += 2 {
+		h0, h1 := g.digestSMPair(i, i+1)
+		rec.Add(g.digestSMNames[i], h0)
+		rec.Add(g.digestSMNames[i+1], h1)
+	}
+	if i < len(g.sms) {
+		rec.Add(g.digestSMNames[i], g.digestSM(i))
 	}
 
 	rec.Add("l2tlb", g.l2tlb.AppendDigest(digest.New()))
@@ -113,18 +115,15 @@ func (g *GPU) DigestComponents(rec *digest.Recorder) {
 	h = g.rspNet.AppendDigest(h, g.hashMemReqFn)
 	rec.Add("noc", h)
 
-	for i, sl := range g.slices {
-		h := sl.cache.AppendDigest(digest.New())
-		h = sl.mshr.AppendDigest(h, g.hashMemReqFn)
-		h = h.Int(len(sl.parked))
-		for _, r := range sl.parked {
-			h = h.U64(uint64(g.hashMemReqFn(r)))
-		}
-		h = h.Int(len(sl.toDram))
-		for _, r := range sl.toDram {
-			h = r.AppendDigest(h)
-		}
-		rec.Add(g.digestSliceNames[i], h)
+	for i = 0; i+1 < len(g.slices); i += 2 {
+		a, b := g.slices[i], g.slices[i+1]
+		h0, h1 := cache.AppendDigestPair(digest.New(), a.cache, digest.New(), b.cache)
+		rec.Add(g.digestSliceNames[i], g.appendSliceQueues(h0, a))
+		rec.Add(g.digestSliceNames[i+1], g.appendSliceQueues(h1, b))
+	}
+	if i < len(g.slices) {
+		sl := g.slices[i]
+		rec.Add(g.digestSliceNames[i], g.appendSliceQueues(sl.cache.AppendDigest(digest.New()), sl))
 	}
 
 	rec.Add("dram", g.hbm.AppendDigest(digest.New()))
@@ -192,6 +191,69 @@ func (g *GPU) DigestComponents(rec *digest.Recorder) {
 	rec.Add("fault", h)
 
 	rec.Add("power", g.pm.AppendDigest(digest.New()))
+}
+
+// digestSM folds SM i's component: execution state, L1 tag array, L1 MSHR,
+// L1 TLB, epoch baseline and replay queue.
+func (g *GPU) digestSM(i int) digest.Hash {
+	h := g.sms[i].AppendDigest(digest.New())
+	h = g.smL1[i].AppendDigest(h)
+	h = g.appendSMMiss(h, i)
+	return appendReplays(h, g.replayQ[i].pending())
+}
+
+// digestSMPair returns (g.digestSM(i), g.digestSM(j)), folding the two tag
+// arrays and replay queues in lockstep.
+func (g *GPU) digestSMPair(i, j int) (digest.Hash, digest.Hash) {
+	hi, hj := cache.AppendDigestPair(
+		g.sms[i].AppendDigest(digest.New()), g.smL1[i],
+		g.sms[j].AppendDigest(digest.New()), g.smL1[j])
+	hi, hj = g.appendSMMiss(hi, i), g.appendSMMiss(hj, j)
+	return appendReplayPair(hi, g.replayQ[i].pending(), hj, g.replayQ[j].pending())
+}
+
+// appendSMMiss folds SM i's L1 MSHR, L1 TLB, epoch baseline and replay
+// queue length.
+func (g *GPU) appendSMMiss(h digest.Hash, i int) digest.Hash {
+	h = g.smMSHR[i].AppendDigest(h, g.hashWarpFn)
+	h = g.smL1TLB[i].AppendDigest(h)
+	return h.U64(g.smBase[i]).Int(g.replayQ[i].len())
+}
+
+func appendReplay(h digest.Hash, r *replayReq) digest.Hash {
+	return r.w.AppendDigest(h.Int(r.app).U64(r.pa).U64(r.vpn))
+}
+
+func appendReplays(h digest.Hash, q []replayReq) digest.Hash {
+	for k := range q {
+		h = appendReplay(h, &q[k])
+	}
+	return h
+}
+
+// appendReplayPair returns (appendReplays(ha, qa), appendReplays(hb, qb)),
+// folding the common prefix of the two queues in lockstep.
+func appendReplayPair(ha digest.Hash, qa []replayReq, hb digest.Hash, qb []replayReq) (digest.Hash, digest.Hash) {
+	n := min(len(qa), len(qb))
+	for k := 0; k < n; k++ {
+		ha, hb = appendReplay(ha, &qa[k]), appendReplay(hb, &qb[k])
+	}
+	return appendReplays(ha, qa[n:]), appendReplays(hb, qb[n:])
+}
+
+// appendSliceQueues folds an LLC slice's MSHR, parked requests and DRAM
+// spill queue.
+func (g *GPU) appendSliceQueues(h digest.Hash, sl *llcSlice) digest.Hash {
+	h = sl.mshr.AppendDigest(h, g.hashMemReqFn)
+	h = h.Int(len(sl.parked))
+	for _, r := range sl.parked {
+		h = h.U64(uint64(g.hashMemReqFn(r)))
+	}
+	h = h.Int(len(sl.toDram))
+	for _, r := range sl.toDram {
+		h = r.AppendDigest(h)
+	}
+	return h
 }
 
 // StateDigest rolls every component digest into one machine-state value.

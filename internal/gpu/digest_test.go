@@ -3,9 +3,11 @@ package gpu
 import (
 	"io"
 	"runtime/pprof"
+	"strconv"
 	"testing"
 
 	"ugpu/internal/digest"
+	"ugpu/internal/sm"
 	"ugpu/internal/trace"
 )
 
@@ -136,5 +138,75 @@ func TestPerturbConfinedToComponent(t *testing.T) {
 	}
 	if name, diff := digest.Diff(ca, cb); !diff || name != "l2tlb" {
 		t.Fatalf("Diff = (%q, %v), want (l2tlb, true)", name, diff)
+	}
+}
+
+// refSMDigest is the one-SM-at-a-time fold with no warp-hash memo: the
+// reference the paired, memoised snapshot must reproduce bit for bit.
+func refSMDigest(g *GPU, i int) digest.Hash {
+	h := g.sms[i].AppendDigest(digest.New())
+	h = g.smL1[i].AppendDigest(h)
+	h = g.smMSHR[i].AppendDigest(h, func(a any) digest.Hash {
+		return a.(*sm.Warp).AppendDigest(digest.New())
+	})
+	h = g.smL1TLB[i].AppendDigest(h)
+	q := g.replayQ[i].pending()
+	h = h.U64(g.smBase[i]).Int(len(q))
+	for _, r := range q {
+		h = h.Int(r.app).U64(r.pa).U64(r.vpn)
+		h = r.w.AppendDigest(h)
+	}
+	return h
+}
+
+// TestPairedSMDigestMatchesSingle: on a machine with an odd SM count (the
+// last SM folds alone) and replay queues of unequal lengths, every SM
+// component of the paired snapshot equals the reference single-SM fold.
+func TestPairedSMDigestMatchesSingle(t *testing.T) {
+	cfg := testConfig()
+	cfg.NumSMs = 7
+	g, err := New(cfg, []AppSpec{
+		{Bench: bench(t, "PVC"), SMs: 3, Groups: []int{0, 1, 2, 3}},
+		{Bench: bench(t, "SRAD"), SMs: 4, Groups: []int{4, 5, 6, 7}},
+	}, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Run(5_000)
+	outstanding := 0
+	for _, m := range g.smMSHR {
+		outstanding += m.Len()
+	}
+	if outstanding == 0 {
+		t.Fatal("no L1 MSHR entries outstanding: the warp-hash memo goes untested")
+	}
+	// Queue lengths 0, 5, 1, 0, 3, 2, 4: pairs of unequal length in both
+	// orders, an empty pair member, and a non-empty unpaired last SM.
+	for i, n := range []int{0, 5, 1, 0, 3, 2, 4} {
+		for k := 0; k < n; k++ {
+			w := &sm.Warp{Outstanding: k, MaxOut: n, LastVPN: uint64(100*i + k), LastValid: k%2 == 0}
+			g.replayQ[i].push(replayReq{app: i % 2, pa: uint64(i*4096 + k*128), vpn: uint64(k), w: w})
+		}
+	}
+	var rec digest.Recorder
+	for round := 0; round < 2; round++ { // the second round reads the warm memo
+		g.DigestComponents(&rec)
+		comps := map[string]uint64{}
+		for _, c := range rec.Components() {
+			comps[c.Name] = c.Sum
+		}
+		for i := 0; i < cfg.NumSMs; i++ {
+			name := "sm" + strconv.Itoa(i)
+			if got, want := comps[name], uint64(refSMDigest(g, i)); got != want {
+				t.Errorf("round %d: %s = %x, want the single-SM fold %x", round, name, got, want)
+			}
+		}
+	}
+	h0, h1 := g.digestSMPair(1, 2)
+	if h0 != refSMDigest(g, 1) || h1 != refSMDigest(g, 2) {
+		t.Error("digestSMPair(1, 2) differs from the single-SM folds")
+	}
+	if h0, h1 = g.digestSMPair(2, 1); h0 != refSMDigest(g, 2) || h1 != refSMDigest(g, 1) {
+		t.Error("digestSMPair(2, 1) differs from the single-SM folds")
 	}
 }

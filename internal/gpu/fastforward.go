@@ -95,8 +95,9 @@ func (g *GPU) nextActivity() uint64 {
 	if g.migActive > 0 || len(g.migQueue) > 0 || g.hbm.PendingMigrations() > 0 {
 		return c
 	}
-	// Parked LLC retries and the LLC->DRAM spill queue drain in retrySlices.
-	if g.parkedTotal > 0 || g.toDramTotal > 0 {
+	// The LLC->DRAM spill queue drains in retrySlices. (Requests parked on
+	// a full LLC MSHR wait for a DRAM fill, which is a wheel event.)
+	if g.toDramTotal > 0 {
 		return c
 	}
 	// Any runnable (non-Switching) SM in the active set issues this cycle.

@@ -79,7 +79,7 @@ func (g *GPU) failSM(cycle uint64, id int) {
 	// Discard the SM's execution state and any accesses parked on its L1
 	// MSHR replay queue (their warps died with the SM).
 	g.sms[id].Fail(cycle)
-	g.replayQ[id] = nil
+	g.replayQ[id] = replayFIFO{}
 
 	if starved != nil {
 		g.grantSM(cycle, starved)

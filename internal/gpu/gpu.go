@@ -228,7 +228,7 @@ type GPU struct {
 
 	// Merged in-flight translations: key -> accesses awaiting the result.
 	transPending map[uint64][]migWaiter
-	replayQ      [][]replayReq // per SM: accesses parked on a full L1 MSHR
+	replayQ      []replayFIFO // per SM: accesses parked on a full L1 MSHR
 
 	// memInFlight counts per-app memReqs between sendToLLC and l1Fill; the
 	// detach quiescence check (attach.go) requires it to reach zero before a
@@ -247,8 +247,9 @@ type GPU struct {
 	ctxDone      func(finish uint64, r *dram.Request)
 	onWalkDone   func(cycle uint64, key uint64)
 
-	// parkedTotal/toDramTotal count requests parked across all LLC slices so
-	// retrySlices can skip its scan when nothing is waiting.
+	// parkedTotal/toDramTotal count requests parked across all LLC slices
+	// (on a full MSHR / on a full HBM queue); toDramTotal lets retrySlices
+	// skip its scan when nothing is waiting.
 	parkedTotal int
 	toDramTotal int
 
@@ -309,6 +310,7 @@ type GPU struct {
 	digestSliceNames []string
 	hashWarpFn       func(any) digest.Hash
 	hashMemReqFn     func(any) digest.Hash
+	digestGen        uint64 // snapshot number, keys the per-warp hash memo
 
 	// transVersion invalidates per-warp translation filters on any page
 	// migration or channel reallocation.
@@ -316,6 +318,9 @@ type GPU struct {
 
 	pageShift uint
 	lineShift uint
+	// slicesPerCh caches cfg.SlicesPerChannel(): Config is passed by value,
+	// and copying it on every routed miss shows up in profiles.
+	slicesPerCh int
 
 	stats Totals
 }
@@ -353,6 +358,56 @@ type replayReq struct {
 	pa  uint64
 	vpn uint64
 	w   *sm.Warp
+}
+
+// replayFIFO is one SM's queue of replayReqs. A pop advances head and clears
+// the popped slot, so no dead entry pins a warp. The dead prefix is reclaimed
+// only when a push finds the buffer full: if at least half of it is dead the
+// live tail is copied down (paid for by the pops that killed the prefix);
+// otherwise the live tail moves to a new buffer of twice its length. A pop
+// never shifts the tail, and cap never exceeds twice the peak queue length.
+type replayFIFO struct {
+	buf  []replayReq
+	head int
+}
+
+func (q *replayFIFO) len() int { return len(q.buf) - q.head }
+
+// pending returns the queued requests, oldest first.
+func (q *replayFIFO) pending() []replayReq { return q.buf[q.head:] }
+
+func (q *replayFIFO) push(r replayReq) {
+	if len(q.buf) == cap(q.buf) {
+		n := q.len()
+		if q.head > 0 && q.head >= n {
+			copy(q.buf, q.buf[q.head:])
+			clear(q.buf[n:])
+			q.buf = q.buf[:n]
+		} else {
+			buf := make([]replayReq, n, 2*max(n, 1))
+			copy(buf, q.pending())
+			q.buf = buf
+		}
+		q.head = 0
+	}
+	q.buf = append(q.buf, r)
+}
+
+// pop removes and returns the oldest request; the queue must be non-empty.
+func (q *replayFIFO) pop() replayReq {
+	r := q.buf[q.head]
+	q.buf[q.head] = replayReq{}
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return r
+}
+
+// reset empties the queue, dropping its warp references; the buffer is kept.
+func (q *replayFIFO) reset() {
+	clear(q.pending())
+	q.buf, q.head = q.buf[:0], 0
 }
 
 // migJobReq is a queued page-migration request at the driver. attempts
@@ -418,7 +473,7 @@ func New(cfg config.Config, specs []AppSpec, opt Options) (*GPU, error) {
 		hbm:           dram.New(cfg, MaxApps),
 		vmm:           vm.NewManager(cfg, mapper, len(specs)),
 		transPending:  make(map[uint64][]migWaiter),
-		replayQ:       make([][]replayReq, cfg.NumSMs),
+		replayQ:       make([]replayFIFO, cfg.NumSMs),
 		migInFlight:   make(map[uint64]bool),
 		failedSMs:     make([]bool, cfg.NumSMs),
 		auditSMOwner:  make([]int, cfg.NumSMs),
@@ -426,6 +481,7 @@ func New(cfg config.Config, specs []AppSpec, opt Options) (*GPU, error) {
 		pendingMoveTo: make(map[int]*App),
 		pageShift:     log2of(cfg.PageBytes),
 		lineShift:     log2of(cfg.L1LineBytes),
+		slicesPerCh:   cfg.SlicesPerChannel(),
 	}
 	g.wheel.g = g
 	if !opt.Faults.Empty() {
@@ -505,13 +561,13 @@ func New(cfg config.Config, specs []AppSpec, opt Options) (*GPU, error) {
 		g.sms[i].Trace = g.tr
 		g.sms[i].Wake = wake
 		g.smL1[i] = cache.New(cfg.L1Sets, cfg.L1Ways, cfg.L1LineBytes)
-		g.smMSHR[i] = cache.NewMSHR(cfg.L1MSHRs, 0)
+		g.smMSHR[i] = cache.NewMSHR(cfg.L1MSHRs)
 		g.smL1TLB[i] = tlb.NewFullyAssociative(cfg.L1TLBEntries)
 	}
 	for i := range g.slices {
 		g.slices[i] = &llcSlice{
 			cache: cache.New(cfg.LLCSets, cfg.LLCWays, cfg.L1LineBytes),
-			mshr:  cache.NewMSHR(cfg.QueueEntries, 0),
+			mshr:  cache.NewMSHR(cfg.QueueEntries),
 		}
 	}
 

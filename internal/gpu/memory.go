@@ -107,7 +107,7 @@ func (g *GPU) l1AccessAsync(cycle uint64, smID, appID int, pa, vpn uint64, w *sm
 	mshr := g.smMSHR[smID]
 	alloc, ok := mshr.Add(line, w)
 	if !ok {
-		g.replayQ[smID] = append(g.replayQ[smID], replayReq{app: appID, pa: pa, vpn: vpn, w: w})
+		g.replayQ[smID].push(replayReq{app: appID, pa: pa, vpn: vpn, w: w})
 		return
 	}
 	if alloc {
@@ -142,8 +142,8 @@ func (g *GPU) maybeCheck(appID int, vpn uint64) {
 // channel, sub-indexed by a bank-group bit.
 func (g *GPU) sliceOf(pa uint64) int {
 	ch := g.mapper.GlobalChannel(pa)
-	sub := int(pa>>9) & (g.cfg.SlicesPerChannel() - 1)
-	return ch*g.cfg.SlicesPerChannel() + sub
+	sub := int(pa>>9) & (g.slicesPerCh - 1)
+	return ch*g.slicesPerCh + sub
 }
 
 func (g *GPU) sendToLLC(cycle uint64, smID, appID int, pa, vpn uint64) {
@@ -198,17 +198,21 @@ func (g *GPU) dramFill(at uint64, sliceIdx int, pa uint64) {
 		g.replyToSM(at, sliceIdx, wtr.(*memReq))
 	}
 	sl.mshr.Recycle(ws)
-	g.drainParked(at, sliceIdx, len(sl.parked))
+	g.drainParked(at, sliceIdx)
 }
 
-// drainParked re-attempts requests parked on a full LLC MSHR, up to limit.
-func (g *GPU) drainParked(at uint64, sliceIdx int, limit int) {
+// drainParked re-attempts requests parked on a full LLC MSHR, in order,
+// until one fails. It runs only after a fill frees an entry: a request parks
+// only on a full MSHR with its line not outstanding, and between fills no
+// Add can allocate, so a parked head cannot make progress any earlier
+// (CheckInvariants audits this state).
+func (g *GPU) drainParked(at uint64, sliceIdx int) {
 	sl := g.slices[sliceIdx]
-	if len(sl.parked) == 0 || limit <= 0 {
+	if len(sl.parked) == 0 {
 		return
 	}
 	n := 0
-	for ; n < len(sl.parked) && n < limit; n++ {
+	for ; n < len(sl.parked); n++ {
 		req := sl.parked[n]
 		line := req.pa >> g.lineShift
 		alloc, ok := sl.mshr.Add(line, req)
@@ -258,17 +262,11 @@ func (g *GPU) l1Fill(at uint64, req *memReq) {
 // drainReplays re-attempts parked post-translation accesses now that MSHR
 // space freed up.
 func (g *GPU) drainReplays(at uint64, smID int) {
-	q := g.replayQ[smID]
-	if len(q) == 0 {
-		return
-	}
+	q := &g.replayQ[smID]
 	mshr := g.smMSHR[smID]
-	n := 0
-	for ; n < len(q) && !mshr.Full(); n++ {
-		r := q[n]
-		g.l1AccessAsyncNoPark(at, smID, r)
+	for q.len() > 0 && !mshr.Full() {
+		g.l1AccessAsyncNoPark(at, smID, q.pop())
 	}
-	g.replayQ[smID] = append(g.replayQ[smID][:0], q[n:]...)
 }
 
 // l1AccessAsyncNoPark is drainReplays' re-attempt; MSHR space was checked.
@@ -282,7 +280,7 @@ func (g *GPU) l1AccessAsyncNoPark(cycle uint64, smID int, r replayReq) {
 	line := r.pa >> g.lineShift
 	alloc, ok := g.smMSHR[smID].Add(line, r.w)
 	if !ok {
-		g.replayQ[smID] = append(g.replayQ[smID], r)
+		g.replayQ[smID].push(r)
 		return
 	}
 	if alloc {
@@ -290,13 +288,15 @@ func (g *GPU) l1AccessAsyncNoPark(cycle uint64, smID int, r replayReq) {
 	}
 }
 
-// retrySlices replays parked LLC work each cycle. The idle fast path skips
-// the 64-slice scan entirely when nothing is parked anywhere.
+// retrySlices re-offers LLC misses the HBM queues turned away, each cycle.
+// The idle fast path skips the 64-slice scan entirely when nothing waits.
+// Requests parked on a full LLC MSHR are not polled here: only a fill can
+// free the entry they wait for, and dramFill drains them (drainParked).
 func (g *GPU) retrySlices(cycle uint64) {
-	if g.toDramTotal == 0 && g.parkedTotal == 0 {
+	if g.toDramTotal == 0 {
 		return
 	}
-	spc := g.cfg.SlicesPerChannel()
+	spc := g.slicesPerCh
 	for idx, sl := range g.slices {
 		if len(sl.toDram) > 0 && g.hbm.QueueSpace(idx/spc) > 0 {
 			n := 0
@@ -315,7 +315,6 @@ func (g *GPU) retrySlices(cycle uint64) {
 				g.toDramTotal -= n
 			}
 		}
-		g.drainParked(cycle, idx, 4)
 	}
 }
 

@@ -346,5 +346,26 @@ func (g *GPU) CheckInvariants() error {
 			}
 		}
 	}
+
+	// 7. Requests parked on an LLC slice wait for a fill: the slice's MSHR
+	// is full and the head's line is not outstanding, so no Add can succeed
+	// before the next fill drains the queue. This is what lets retrySlices
+	// skip parked requests instead of polling them every cycle.
+	parked := 0
+	for i, sl := range g.slices {
+		if len(sl.parked) == 0 {
+			continue
+		}
+		parked += len(sl.parked)
+		if !sl.mshr.Full() {
+			return &InvariantError{"llc-parked", fmt.Sprintf("slice %d parks %d requests but its MSHR is not full (%d entries)", i, len(sl.parked), sl.mshr.Len())}
+		}
+		if line := sl.parked[0].pa >> g.lineShift; sl.mshr.Lookup(line) {
+			return &InvariantError{"llc-parked", fmt.Sprintf("slice %d parked head line %#x is outstanding in its MSHR", i, line)}
+		}
+	}
+	if parked != g.parkedTotal {
+		return &InvariantError{"llc-parked", fmt.Sprintf("parkedTotal %d != %d requests parked across slices", g.parkedTotal, parked)}
+	}
 	return nil
 }

@@ -43,6 +43,17 @@ func (w *Warp) AppendDigest(h digest.Hash) digest.Hash {
 	return h
 }
 
+// StandaloneDigest returns w.AppendDigest(digest.New()), computing it at
+// most once per snapshot: gen numbers the caller's snapshots (gen > 0) and
+// the warp's state must not change while one is taken. The GPU's MSHRs list
+// a warp once per outstanding line, so the memo saves most warp folds.
+func (w *Warp) StandaloneDigest(gen uint64) digest.Hash {
+	if w.digestGen != gen {
+		w.digestGen, w.digestMemo = gen, w.AppendDigest(digest.New())
+	}
+	return w.digestMemo
+}
+
 // AppendDigest folds the SM's scheduler, TB, and counter state. Call only at
 // a settled observation point: the fast-forward engine's lazily-accrued
 // stall statistics must be credited first (gpu.settleParked), or the same

@@ -16,6 +16,7 @@ package sm
 import (
 	"fmt"
 
+	"ugpu/internal/digest"
 	"ugpu/internal/trace"
 	"ugpu/internal/workload"
 )
@@ -94,6 +95,10 @@ type Warp struct {
 	structStall bool     // blocked on a structural hazard (queued in sm retry list)
 	pending     []uint64 // generated but not-yet-accepted load addresses
 	done        bool
+
+	// Snapshot memo for StandaloneDigest (observation state, not digested).
+	digestGen  uint64
+	digestMemo digest.Hash
 }
 
 // LoadDone signals one returned load. It may be called with a completion
