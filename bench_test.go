@@ -20,7 +20,8 @@ import (
 // Parallel is left at its zero value, which the figure generators resolve to
 // GOMAXPROCS: every multi-simulation benchmark below therefore fans out
 // through the deterministic internal/parallel runner, and its output is
-// byte-identical to a serial run (see internal/experiments/golden_test.go).
+// byte-identical to a serial run (see TestModeMatrix in
+// internal/experiments/mode_matrix_test.go).
 func benchOptions() experiments.Options {
 	opt := experiments.Default()
 	opt.Cfg.MaxCycles = 60_000

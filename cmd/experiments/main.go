@@ -8,7 +8,7 @@
 //	            [-faults spec] [-fault-seed N] [-watchdog-timeout N]
 //	            [-arrival-rate R] [-qos-mix F] [-serve-seed N]
 //	            [-gray-faults spec] [-probe-epochs N]
-//	            [-power-cap W] [-dvfs=false]
+//	            [-power-cap W] [-dvfs=false] [-no-fastforward]
 //	            [-digest] [-digest-every N] [-bisect A,B]
 //	            [-trace] [-trace-out path] [-trace-filter spec] [-pprof prefix]
 //	            [-bench-json path] [-v]
@@ -17,19 +17,20 @@
 // internal/parallel; -parallel bounds the worker pool (0 = GOMAXPROCS,
 // 1 = serial). Output is byte-identical for any worker count.
 //
-// -trace attaches a per-cell deterministic event tracer to the sweep
-// figures (faults, serve) and writes the events as JSONL to -trace-out
-// (default trace.jsonl; a .json extension converts to Chrome trace_event
-// format loadable in chrome://tracing or Perfetto). -trace-filter selects
-// categories and minimum severity ("migration,fault,sev=warn"); the JSONL
-// is byte-identical at any -parallel count. -pprof writes
+// -trace attaches a deterministic event tracer to every simulation of the
+// sweep figures (faults, serve, failover, gray, power) and writes the
+// events as JSONL to -trace-out (default trace.jsonl; a .json extension
+// converts to Chrome trace_event format loadable in chrome://tracing or
+// Perfetto). -trace-filter selects categories and minimum severity
+// ("migration,fault,sev=warn"); the JSONL is byte-identical at any
+// -parallel count. -pprof writes
 // <prefix>.cpu.pprof and <prefix>.mem.pprof runtime profiles.
 //
 // -digest records a per-epoch machine-state digest chain in every
 // simulation (-digest-every N thins it to every Nth epoch) and appends the
 // folded chain to the sweep figures' notes: two invocations that differ only
-// in execution mode (-parallel count, -fastforward, -trace) must print the
-// same digest, and `make digest-smoke` asserts exactly that. -bisect A,B
+// in execution mode (-parallel count, -no-fastforward, -trace) must print
+// the same digest, and `make smoke` asserts exactly that. -bisect A,B
 // localizes a divergence between two mode arms ('+'-joined tokens from ff,
 // noff, trace, notrace): it binary-searches the two runs' digest chains for
 // the first divergent epoch, then replays that epoch to name the first
@@ -140,11 +141,10 @@ func main() {
 		probeEpochs = flag.Int("probe-epochs", 0, "gray figure: clean probe epochs before a quarantined GPU re-admits LC work (0 = the default 4)")
 		ckptEvery   = flag.Int("checkpoint-every", 0, "failover figure: checkpoint interval in cycles (0 = 2 epochs)")
 		brownout    = flag.Bool("brownout", true, "failover figure: include the tiered-brownout arm")
-		traceOn     = flag.Bool("trace", false, "record deterministic event traces for the sweep figures (faults, serve)")
+		traceOn     = flag.Bool("trace", false, "record deterministic event traces for the sweep figures (faults, serve, failover, gray, power)")
 		traceOut    = flag.String("trace-out", "", "trace output path (implies -trace; default trace.jsonl; .json converts to Chrome trace_event)")
 		traceFilter = flag.String("trace-filter", "", "trace category/severity filter, e.g. \"migration,fault,sev=warn\" (empty = everything)")
-		fastForward = flag.Bool("fastforward", true, "event-driven fast-forward engine: skip provably-dead cycles and idle SMs (results are byte-identical either way)")
-		noFastFwd   = flag.Bool("no-fastforward", false, "disable the fast-forward engine (same as -fastforward=false)")
+		noFastFwd   = flag.Bool("no-fastforward", false, "disable the event-driven fast-forward engine that skips provably-dead cycles and idle SMs (results are byte-identical either way)")
 		digestOn    = flag.Bool("digest", false, "record per-epoch machine-state digest chains and print them in sweep notes")
 		digestEvery = flag.Int("digest-every", 0, "record a state digest every N epochs (implies -digest; 0 with -digest means every epoch)")
 		bisect      = flag.String("bisect", "", "localize a state divergence between two mode arms, e.g. \"ff,noff\" or \"ff+trace,noff\" (tokens: ff, noff, trace, notrace)")
@@ -189,7 +189,7 @@ func main() {
 	opt.Brownout = *brownout
 	opt.GrayFaults = *grayFaults
 	opt.ProbeEpochs = *probeEpochs
-	opt.NoFastForward = *noFastFwd || !*fastForward
+	opt.NoFastForward = *noFastFwd
 	switch {
 	case *watchdog > 0:
 		opt.Cfg.WatchdogCycles = *watchdog

@@ -23,6 +23,7 @@ import (
 	"ugpu/internal/config"
 	"ugpu/internal/core"
 	"ugpu/internal/digest"
+	"ugpu/internal/fault"
 	"ugpu/internal/gpu"
 	"ugpu/internal/trace"
 	"ugpu/internal/workload"
@@ -118,11 +119,21 @@ func (r *BisectResult) String() string {
 }
 
 // bisectRunner builds one arm's runner: the UGPU dynamic policy over mix,
-// with the arm's execution-mode switches applied. Each arm owns a private
-// tracer (one tracer == one simulation goroutine).
+// with the arm's execution-mode switches applied and, as in FaultSweep's
+// custom arm, Options.FaultSpec injected under Options.FaultSeed. Each arm
+// owns a private tracer (one tracer == one simulation goroutine).
 func (o Options) bisectRunner(arm BisectArm, cfg config.Config, mix workload.Mix) (*core.Runner, error) {
+	var faults fault.Spec
+	if o.FaultSpec != "" {
+		var err error
+		if faults, err = fault.ParseSpec(o.FaultSpec); err != nil {
+			return nil, fmt.Errorf("bisect: %w", err)
+		}
+	}
 	pol := core.WithOptions(core.NewUGPU(cfg), func(g *gpu.Options) {
 		g.FootprintScale = o.FootprintScale
+		g.Faults = faults
+		g.FaultSeed = o.FaultSeed
 		g.NoFastForward = arm.NoFastForward
 		if arm.Trace {
 			g.Trace = trace.New(trace.DefaultCapacity)

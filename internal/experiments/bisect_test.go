@@ -125,3 +125,48 @@ func TestBisectPinpointsMidEpochDivergence(t *testing.T) {
 		t.Errorf("divergent cycle = %d, want inside epoch 3 (boundary %d)", res.Cycle, res.EpochCycle)
 	}
 }
+
+// TestBisectHonoursFaultSpec: -bisect with -faults bisects the faulted
+// machine, as FaultSweep's custom arm runs it. The arms inject the spec,
+// fast-forward on vs off still agree on the faulted run, and a perturbation
+// on top of the faults is still localized.
+func TestBisectHonoursFaultSpec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("five faulted runs")
+	}
+	o := bisectOpts()
+	o.FaultSpec, o.FaultSeed = "sm=2,group=1,mig=0.05", 7
+	r, err := o.bisectRunner(BisectArm{Name: "ff"}, o.Cfg, o.heteroMixes()[0])
+	if err != nil {
+		t.Fatalf("bisectRunner: %v", err)
+	}
+	out, err := r.Run()
+	if err != nil {
+		t.Fatalf("faulted run: %v", err)
+	}
+	if out.Faults.SMFails != 2 || out.Faults.GroupFails != 1 {
+		t.Fatalf("bisect arm failed %d SMs and %d groups, want 2 and 1", out.Faults.SMFails, out.Faults.GroupFails)
+	}
+
+	res, err := o.Bisect(BisectArm{Name: "ff"}, BisectArm{Name: "noff", NoFastForward: true})
+	if err != nil {
+		t.Fatalf("Bisect: %v", err)
+	}
+	if !res.Agree {
+		t.Errorf("faulted ff vs noff diverged: %s", res)
+	}
+
+	res, err = o.Bisect(BisectArm{Name: "clean"},
+		BisectArm{Name: "perturbed", Perturb: (*gpu.GPU).PerturbStateForTest, PerturbEpoch: 2})
+	if err != nil {
+		t.Fatalf("Bisect: %v", err)
+	}
+	if res.Agree || res.Epoch != 2 || res.Component != "l2tlb" {
+		t.Errorf("faulted perturbation localized as %s, want epoch 2, component l2tlb", res)
+	}
+
+	o.FaultSpec = "sm=banana"
+	if _, err := o.Bisect(BisectArm{Name: "ff"}, BisectArm{Name: "noff", NoFastForward: true}); err == nil {
+		t.Error("Bisect accepted a malformed fault spec")
+	}
+}

@@ -18,7 +18,6 @@ import (
 	"ugpu/internal/gpu"
 	"ugpu/internal/metrics"
 	"ugpu/internal/parallel"
-	"ugpu/internal/trace"
 	"ugpu/internal/workload"
 )
 
@@ -76,14 +75,16 @@ type Options struct {
 	// (0 = the 0.5 default).
 	QoSMix float64
 
-	// Trace attaches a per-cell deterministic event tracer to every sweep
-	// simulation (ServeSweep, FaultSweep) and streams the recorded events as
-	// JSONL to TraceOut. Each cell gets its own tracer (one tracer == one
-	// simulation goroutine, the same ownership rule internal/parallel
-	// imposes on GPUs); cell streams are buffered through a
-	// parallel.OrderedSink and concatenated in cell-index order, so the
-	// JSONL is byte-identical at any Parallel count. Tracing is
-	// observation-only: simulation results are unchanged with it on or off.
+	// Trace attaches a deterministic event tracer to every simulation of
+	// the non-paper sweeps (faults, serve, failover, gray, power) and
+	// streams the recorded events as JSONL to TraceOut. Each simulation —
+	// a single-GPU cell, or a cluster arm's frontend and each backend — gets
+	// its own tracer (one tracer == one simulation goroutine, the same
+	// ownership rule internal/parallel imposes on GPUs); streams are
+	// buffered through a parallel.OrderedSink and concatenated in cell
+	// order, so the JSONL is byte-identical at any Parallel count. Tracing
+	// is observation-only: simulation results are unchanged with it on or
+	// off.
 	Trace bool
 	// TraceFilter selects recorded categories/severity (trace.ParseFilter
 	// grammar, e.g. "migration,fault,sev=warn"; empty = everything).
@@ -94,48 +95,12 @@ type Options struct {
 	// NoFastForward disables the event-driven fast-forward engine and runs
 	// the plain per-cycle loop (gpu.Options.NoFastForward). Results are
 	// byte-identical either way; the switch exists for differential checks
-	// (`make ff-smoke`) and perf comparison.
+	// (TestModeMatrix, `make smoke`) and perf comparison.
 	NoFastForward bool
 }
 
 // runner returns the sweep fan-out pool.
 func (o Options) runner() *parallel.Runner { return parallel.New(o.Parallel) }
-
-// cellTracer builds one sweep cell's private tracer (nil when tracing is
-// off, which every emit site treats as disabled).
-func (o Options) cellTracer() (*trace.Tracer, error) {
-	if !o.Trace {
-		return nil, nil
-	}
-	f, err := trace.ParseFilter(o.TraceFilter)
-	if err != nil {
-		return nil, err
-	}
-	return trace.NewFiltered(trace.DefaultCapacity, f), nil
-}
-
-// flushTraceTask writes one cell's stream into its sink slot: a {"task":N}
-// header naming the cell, then the tracer's events as JSONL. The header is
-// what lets a consumer (trace.JSONLToChrome) split the concatenated stream
-// back into per-cell tracks.
-func flushTraceTask(w io.Writer, task int, tr *trace.Tracer) error {
-	if tr == nil {
-		return nil
-	}
-	if _, err := fmt.Fprintf(w, "{\"task\":%d}\n", task); err != nil {
-		return err
-	}
-	return tr.WriteJSONL(w)
-}
-
-// emitTrace drains a sweep's ordered sink to TraceOut.
-func (o Options) emitTrace(sink *parallel.OrderedSink) error {
-	if !o.Trace || o.TraceOut == nil || sink == nil {
-		return nil
-	}
-	_, err := sink.WriteTo(o.TraceOut)
-	return err
-}
 
 // Default returns laptop-scale options: 150K-cycle runs with 25K-cycle
 // epochs over a subset of mixes.

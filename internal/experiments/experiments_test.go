@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -208,5 +209,64 @@ func TestPageSizeSensitivityRuns(t *testing.T) {
 		if v <= 0 {
 			t.Errorf("page size %s: non-positive STP ratio %f", fig.Series[0].Labels[i], v)
 		}
+	}
+}
+
+// TestSweepOptions covers the sweeps' option handling: malformed fault and
+// gray specs are rejected before anything runs, a custom fault spec becomes
+// one arm beside the healthy baseline, and a custom arrival rate and QoS
+// mix reach the serve figure.
+func TestSweepOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		set   func(*Options)
+		gen   func(Options) (Figure, error)
+		long  bool
+		check func(t *testing.T, f Figure) // nil: the options must be rejected
+	}{
+		{name: "faults/bad-spec", set: func(o *Options) { o.FaultSpec = "sm=banana" }, gen: Options.FaultSweep},
+		{name: "serve/bad-fault-spec", set: func(o *Options) { o.FaultSpec = "sm=banana" }, gen: Options.ServeSweep},
+		{name: "failover/bad-fault-spec", set: func(o *Options) { o.FaultSpec = "noc=2" }, gen: Options.FailoverSweep},
+		{name: "gray/bad-range", set: func(o *Options) { o.GrayFaults = "noc=1.5" }, gen: Options.GraySweep},
+		{name: "gray/unknown-key", set: func(o *Options) { o.GrayFaults = "bogus=1" }, gen: Options.GraySweep},
+		{name: "faults/custom-arm", gen: Options.FaultSweep,
+			set: func(o *Options) {
+				o.FaultSpec = "sm=1"
+				o.Cfg.MaxCycles, o.Cfg.EpochCycles = 20_000, 10_000
+			},
+			check: func(t *testing.T, f Figure) {
+				if len(f.Series) != 2 || f.Series[0].Name != "healthy" || f.Series[1].Name != "sm=1" {
+					t.Errorf("custom spec arms = %+v; want healthy, sm=1", f.Series)
+				}
+			}},
+		{name: "serve/custom-rate", gen: Options.ServeSweep, long: true,
+			set: func(o *Options) {
+				o.ArrivalRate, o.QoSMix = 10, 0.7
+			},
+			check: func(t *testing.T, f Figure) {
+				if len(f.Series) == 0 || !reflect.DeepEqual(f.Series[0].Labels, []string{"r=10"}) {
+					t.Fatalf("custom rate produced series %+v, want labels [r=10]", f.Series)
+				}
+				if !strings.Contains(strings.Join(f.Notes, "\n"), "LC fraction 0.70") {
+					t.Errorf("custom QoS mix not recorded in notes: %v", f.Notes)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("multi-simulation sweep")
+			}
+			o := tiny()
+			tc.set(&o)
+			f, err := tc.gen(o)
+			switch {
+			case tc.check == nil && err == nil:
+				t.Fatal("malformed spec accepted")
+			case tc.check != nil && err != nil:
+				t.Fatal(err)
+			case tc.check != nil:
+				tc.check(t, f)
+			}
+		})
 	}
 }

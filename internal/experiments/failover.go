@@ -15,11 +15,8 @@ import (
 	"fmt"
 
 	clusterserve "ugpu/internal/cluster/serve"
-	"ugpu/internal/digest"
 	"ugpu/internal/fault"
 	"ugpu/internal/metrics"
-	"ugpu/internal/trace"
-	"ugpu/internal/workload"
 )
 
 // failoverGPUs is the figure's cluster size.
@@ -52,27 +49,15 @@ func (o Options) failoverArms() []failoverArm {
 // all frontend decisions are serial, so output and merged traces are
 // byte-identical at any worker count.
 func (o Options) FailoverSweep() (Figure, error) {
-	benches, err := serveBenchPool()
+	sv, err := o.servingSetup()
 	if err != nil {
 		return Figure{}, err
 	}
-	seed := o.ServeSeed
-	if seed == 0 {
-		seed = 1
-	}
-	qos := o.QoSMix
-	if qos == 0 {
-		qos = 0.5
-	}
-	// Same quantum/horizon shaping as the serve sweep: fine epochs so
-	// admission and checkpoints are not quantised into job-sized steps, a
-	// doubled horizon so the post-crash tail is observable.
-	cfg := o.Cfg
-	if cfg.EpochCycles > 5_000 {
-		cfg.EpochCycles = 5_000
-	}
+	// A doubled horizon, as in the serve sweep, so the post-crash tail is
+	// observable.
+	cfg := sv.cfg
 	cfg.MaxCycles *= 2
-	horizon := cfg.MaxCycles * 3 / 4 // crashes centre at 50-65%; keep arrivals flowing through recovery
+	sv.arrivals.Horizon = cfg.MaxCycles * 3 / 4 // crashes centre at 50-65%; keep arrivals flowing through recovery
 	opt := o.gpuOptions()
 	if o.FaultSpec != "" {
 		// Intra-GPU faults compose with whole-GPU crashes; clusterserve
@@ -89,109 +74,58 @@ func (o Options) FailoverSweep() (Figure, error) {
 	// Dense enough that losing one of four GPUs overloads the survivors
 	// while the full cluster still keeps up; the floor keeps reduced
 	// CI-scale runs at the serve sweep's stream.
-	gap := cfg.MaxCycles / 160
-	if gap < 1_000 {
-		gap = 1_000
-	}
-	arrivals := workload.ArrivalSpec{
-		Horizon:    horizon,
-		MeanGap:    gap,
-		LCFraction: qos,
-		MinLen:     4_000,
-		MaxLen:     10_000,
-		Benchmarks: benches,
-	}
+	sv.arrivals.MeanGap = max(cfg.MaxCycles/160, 1_000)
 
-	arms := o.failoverArms()
-	type armResult struct {
-		rep  *clusterserve.Report
-		line string
-	}
-	results := make([]armResult, len(arms))
-	for ai, arm := range arms {
-		ccfg := clusterserve.Config{
+	var arms []clusterArm
+	for _, a := range o.failoverArms() {
+		arms = append(arms, clusterArm{name: a.name, cfg: clusterserve.Config{
 			GPUs:     failoverGPUs,
 			Sim:      cfg,
 			Opt:      opt,
-			Arrivals: arrivals,
-			Seed:     seed,
+			Arrivals: sv.arrivals,
+			Seed:     sv.seed,
 			// Shallow backend queues: work committed to a backend queue
 			// cannot be re-balanced, so cluster-level queueing lives at the
 			// frontend — which is also where the brownout controller
 			// measures delay.
 			QueueCap:        2,
-			Crashes:         arm.crashes,
-			CrashSeed:       seed,
+			Crashes:         a.crashes,
+			CrashSeed:       sv.seed,
 			CheckpointEvery: o.CheckpointEvery,
-			Brownout:        arm.brownout,
+			Brownout:        a.brownout,
 			Parallel:        o.Parallel,
 			Alone:           alone,
-		}
-		if o.Trace {
-			tr, err := o.cellTracer()
-			if err != nil {
-				return Figure{}, err
-			}
-			ccfg.Trace = tr
-			ccfg.BackendTracers = make([]*trace.Tracer, failoverGPUs)
-			for i := range ccfg.BackendTracers {
-				bt, err := o.cellTracer()
-				if err != nil {
-					return Figure{}, err
-				}
-				ccfg.BackendTracers[i] = bt
-			}
-		}
-		fr, err := clusterserve.New(ccfg)
-		if err != nil {
-			return Figure{}, fmt.Errorf("failover %s: %w", arm.name, err)
-		}
-		rep, err := fr.Run()
-		if err != nil {
-			return Figure{}, fmt.Errorf("failover %s: %w", arm.name, err)
-		}
-		if o.Trace && o.TraceOut != nil {
-			if err := fr.WriteTrace(o.TraceOut, ai*(failoverGPUs+1)); err != nil {
-				return Figure{}, err
-			}
-		}
-		results[ai] = armResult{
-			rep: rep,
-			line: fmt.Sprintf("  failover %-15s arrived=%d done=%d shed=%d rej=%d crashes=%d avail=%.3f mttr=%.0f lost=%.0f lcGoodput=%.3f p99=%.2f tier=%d\n",
-				arm.name, rep.Arrived, rep.Completed, rep.Shed, rep.Rejected,
-				rep.SLO.Crashes, rep.SLO.Availability, rep.SLO.MTTRCycles,
-				rep.SLO.LostWork, rep.SLO.LCGoodput, rep.SLO.P99, rep.MaxTier),
-		}
+		}})
 	}
-	for _, r := range results {
-		o.logf("%s", r.line)
+	reps, links, err := o.runClusterArms(0, arms, func(i int, rep *clusterserve.Report) string {
+		return fmt.Sprintf("  failover %-15s arrived=%d done=%d shed=%d rej=%d crashes=%d avail=%.3f mttr=%.0f lost=%.0f lcGoodput=%.3f p99=%.2f tier=%d\n",
+			arms[i].name, rep.Arrived, rep.Completed, rep.Shed, rep.Rejected,
+			rep.SLO.Crashes, rep.SLO.Availability, rep.SLO.MTTRCycles,
+			rep.SLO.LostWork, rep.SLO.LCGoodput, rep.SLO.P99, rep.MaxTier)
+	})
+	if err != nil {
+		return Figure{}, fmt.Errorf("failover %w", err)
 	}
 
 	labels := make([]string, len(arms))
 	for i, a := range arms {
 		labels[i] = a.name
 	}
-	pick := func(get func(*clusterserve.Report) float64) []float64 {
-		out := make([]float64, len(results))
-		for i, r := range results {
-			out[i] = get(r.rep)
-		}
-		return out
-	}
+	type report = *clusterserve.Report
 	fig := Figure{
 		ID:    "failover",
 		Title: "Cluster failover: goodput, availability, MTTR under whole-GPU crashes",
 		Series: []Series{
-			{Name: "goodput", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.Goodput })},
-			{Name: "lcGoodput", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.LCGoodput })},
-			{Name: "p99 slowdown", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.P99 })},
-			{Name: "availability", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.Availability })},
-			{Name: "MTTR cycles", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.MTTRCycles })},
-			{Name: "lost work", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.LostWork })},
-			{Name: "shed jobs", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return float64(r.SLO.Shed) })},
+			series("goodput", labels, reps, func(r report) float64 { return r.SLO.Goodput }),
+			series("lcGoodput", labels, reps, func(r report) float64 { return r.SLO.LCGoodput }),
+			series("p99 slowdown", labels, reps, func(r report) float64 { return r.SLO.P99 }),
+			series("availability", labels, reps, func(r report) float64 { return r.SLO.Availability }),
+			series("MTTR cycles", labels, reps, func(r report) float64 { return r.SLO.MTTRCycles }),
+			series("lost work", labels, reps, func(r report) float64 { return r.SLO.LostWork }),
+			series("shed jobs", labels, reps, func(r report) float64 { return float64(r.SLO.Shed) }),
 		},
 		Notes: []string{
-			fmt.Sprintf("%d GPUs; crash schedule seeded by the arrival seed (%d); checkpoint/restore from periodic in-memory snapshots", failoverGPUs, seed),
+			fmt.Sprintf("%d GPUs; crash schedule seeded by the arrival seed (%d); checkpoint/restore from periodic in-memory snapshots", failoverGPUs, sv.seed),
 			"all arms share one arrival schedule and one crash schedule; identical seeds give byte-identical merged traces at any -parallel",
 			"availability = healthy GPU-cycles / total; MTTR = crash to last re-dispatch; lost work = alone-cycles rolled back to checkpoints",
 			"brownout sheds BE admissions (tier 1), relaxes the LC target 2x (tier 2), circuit-breaks arrivals (tier 3) until queue delay recovers",
@@ -201,16 +135,6 @@ func (o Options) FailoverSweep() (Figure, error) {
 		fig.Notes = append(fig.Notes,
 			fmt.Sprintf("backends also run intra-GPU faults %q (seed %d)", o.FaultSpec, o.FaultSeed))
 	}
-	if cfg.DigestEvery > 0 {
-		sweepDig := digest.New()
-		for _, r := range results {
-			sweepDig = sweepDig.U64(r.rep.SLO.StateDigest)
-			for _, bc := range r.rep.BackendDigests {
-				sweepDig = sweepDig.U64(bc.Final())
-			}
-		}
-		fig.Notes = append(fig.Notes,
-			fmt.Sprintf("state digest %016x over all arms and backends (chained every %d epochs); must match across serial/parallel and fast-forward on/off", uint64(sweepDig), cfg.DigestEvery))
-	}
+	fig.Notes = append(fig.Notes, o.digestNote(links, "all arms and backends")...)
 	return fig, nil
 }

@@ -11,10 +11,9 @@ import (
 	"fmt"
 
 	"ugpu/internal/core"
-	"ugpu/internal/digest"
 	"ugpu/internal/fault"
 	"ugpu/internal/gpu"
-	"ugpu/internal/parallel"
+	"ugpu/internal/trace"
 )
 
 // faultArm is one injected-fault configuration of the sweep.
@@ -53,8 +52,9 @@ func (o Options) faultArms() ([]faultArm, error) {
 	}, nil
 }
 
-// FaultSweep regenerates the degraded-mode table. Mixes fan out over the
-// worker pool inside each arm; arms run in order so the output is stable.
+// FaultSweep regenerates the degraded-mode table. Every (arm, mix) cell is
+// one independent simulation; cells fan out over the worker pool and are
+// reassembled arm-major, so the output is byte-identical at any -parallel.
 func (o Options) FaultSweep() (Figure, error) {
 	arms, err := o.faultArms()
 	if err != nil {
@@ -65,84 +65,68 @@ func (o Options) FaultSweep() (Figure, error) {
 		mixes = mixes[:3] // a few mixes suffice; the sweep is over damage, not workloads
 	}
 
+	type cellResult struct {
+		ipc, loss                  float64
+		smFails, grpFails          int
+		nacks, spills, emergencies uint64
+	}
+	out, links, err := runCells(o, o.Parallel, 0, len(arms)*len(mixes), 1, func(i int, trs []*trace.Tracer) (cellOut[cellResult], error) {
+		arm, mix := arms[i/len(mixes)], mixes[i%len(mixes)]
+		pol := core.WithOptions(core.NewUGPU(o.Cfg), func(g *gpu.Options) {
+			g.FootprintScale = o.FootprintScale
+			g.Faults = arm.spec
+			g.FaultSeed = o.FaultSeed
+			g.Trace = trs[0]
+			g.NoFastForward = o.NoFastForward
+		})
+		res, err := core.RunPolicy(o.Cfg, pol, mix)
+		if err != nil {
+			return cellOut[cellResult]{}, fmt.Errorf("faults arm %q on %s: %w", arm.name, mix.Name, err)
+		}
+		r := cellResult{
+			ipc:         res.TotalIPC(),
+			smFails:     res.Faults.SMFails,
+			grpFails:    res.Faults.GroupFails,
+			nacks:       res.Faults.MigNACKs,
+			spills:      res.Faults.SpillRemaps,
+			emergencies: res.Faults.EmergencyMigrations,
+		}
+		for _, l := range res.Faults.PerAppLoss {
+			r.loss += l
+		}
+		if n := len(res.Faults.PerAppLoss); n > 0 {
+			r.loss /= float64(n)
+		}
+		return cellOut[cellResult]{val: r, digs: []uint64{res.Digest.Final()}}, nil
+	})
+	if err != nil {
+		return Figure{}, err
+	}
+
 	fig := Figure{
 		ID:    "faults",
 		Title: "Degraded-mode throughput under injected faults (UGPU policy)",
 	}
-	type armResult struct {
-		ipc, loss                  float64
-		smFails, grpFails          int
-		nacks, spills, emergencies uint64
-		dig                        uint64 // final state-digest chain link (0 when digesting is off)
-	}
 	labels := []string{"totalIPC", "meanLoss", "smFail", "grpFail", "migNACK", "spill", "evacPages"}
-	// One sink slot per (arm, mix) cell, arm-major, so the JSONL stream
-	// orders cells exactly as a serial sweep would run them.
-	sink := parallel.NewOrderedSink(len(arms) * len(mixes))
-	sweepDig := digest.New()
-	for armIdx, arm := range arms {
-		spec := arm.spec
-		armBase := armIdx * len(mixes)
-		out, err := parallel.Map(o.runner(), len(mixes), func(i int) (armResult, error) {
-			tr, err := o.cellTracer()
-			if err != nil {
-				return armResult{}, err
-			}
-			pol := core.WithOptions(core.NewUGPU(o.Cfg), func(g *gpu.Options) {
-				g.FootprintScale = o.FootprintScale
-				g.Faults = spec
-				g.FaultSeed = o.FaultSeed
-				g.Trace = tr
-				g.NoFastForward = o.NoFastForward
-			})
-			res, err := core.RunPolicy(o.Cfg, pol, mixes[i])
-			if err != nil {
-				return armResult{}, fmt.Errorf("faults arm %q on %s: %w", arm.name, mixes[i].Name, err)
-			}
-			if err := flushTraceTask(sink.Task(armBase+i), armBase+i, tr); err != nil {
-				return armResult{}, err
-			}
-			var r armResult
-			r.ipc = res.TotalIPC()
-			for _, l := range res.Faults.PerAppLoss {
-				r.loss += l
-			}
-			if n := len(res.Faults.PerAppLoss); n > 0 {
-				r.loss /= float64(n)
-			}
-			r.smFails = res.Faults.SMFails
-			r.grpFails = res.Faults.GroupFails
-			r.nacks = res.Faults.MigNACKs
-			r.spills = res.Faults.SpillRemaps
-			r.emergencies = res.Faults.EmergencyMigrations
-			if o.Cfg.DigestEvery > 0 {
-				r.dig = res.Digest.Final()
-			}
-			return r, nil
-		})
-		if err != nil {
-			return Figure{}, err
-		}
-		var agg armResult
-		var lossSum float64
-		for _, r := range out {
-			sweepDig = sweepDig.U64(r.dig)
+	for ai, arm := range arms {
+		var agg cellResult
+		for _, r := range out[ai*len(mixes) : (ai+1)*len(mixes)] {
 			agg.ipc += r.ipc
-			lossSum += r.loss
+			agg.loss += r.loss
 			agg.smFails += r.smFails
 			agg.grpFails += r.grpFails
 			agg.nacks += r.nacks
 			agg.spills += r.spills
 			agg.emergencies += r.emergencies
 		}
-		n := float64(len(out))
-		o.logf("  faults %-22s IPC=%.3f loss=%.3f\n", arm.name, agg.ipc/n, lossSum/n)
+		n := float64(len(mixes))
+		o.logf("  faults %-22s IPC=%.3f loss=%.3f\n", arm.name, agg.ipc/n, agg.loss/n)
 		fig.Series = append(fig.Series, Series{
 			Name:   arm.name,
 			Labels: labels,
 			Values: []float64{
 				agg.ipc / n,
-				lossSum / n,
+				agg.loss / n,
 				float64(agg.smFails) / n,
 				float64(agg.grpFails) / n,
 				float64(agg.nacks) / n,
@@ -151,15 +135,9 @@ func (o Options) FaultSweep() (Figure, error) {
 			},
 		})
 	}
-	if err := o.emitTrace(sink); err != nil {
-		return Figure{}, err
-	}
 	fig.Notes = append(fig.Notes,
 		"per-arm means over the mix subset; loss = 1 - postIPC/preIPC across the first fault",
 		fmt.Sprintf("fault seed %d; identical seeds give byte-identical reports at any -parallel", o.FaultSeed))
-	if o.Cfg.DigestEvery > 0 {
-		fig.Notes = append(fig.Notes,
-			fmt.Sprintf("state digest %016x over all cells (chained every %d epochs); must match across serial/parallel and fast-forward on/off", uint64(sweepDig), o.Cfg.DigestEvery))
-	}
+	fig.Notes = append(fig.Notes, o.digestNote(links, "all cells")...)
 	return fig, nil
 }

@@ -24,12 +24,9 @@ import (
 	"fmt"
 
 	clusterserve "ugpu/internal/cluster/serve"
-	"ugpu/internal/digest"
 	"ugpu/internal/fault"
 	"ugpu/internal/metrics"
 	"ugpu/internal/power"
-	"ugpu/internal/trace"
-	"ugpu/internal/workload"
 )
 
 // grayGPUs is the figure's cluster size.
@@ -57,17 +54,9 @@ func grayArms() []grayArm {
 // frontend decisions are serial, so output and merged traces are
 // byte-identical at any worker count.
 func (o Options) GraySweep() (Figure, error) {
-	benches, err := serveBenchPool()
+	sv, err := o.servingSetup()
 	if err != nil {
 		return Figure{}, err
-	}
-	seed := o.ServeSeed
-	if seed == 0 {
-		seed = 1
-	}
-	qos := o.QoSMix
-	if qos == 0 {
-		qos = 0.5
 	}
 	// Default degradation for the figure: the deepest SM floor the DVFS
 	// ladder has (quarter issue rate), half-rate HBM bursts, and a 1% NoC
@@ -81,13 +70,9 @@ func (o Options) GraySweep() (Figure, error) {
 			return Figure{}, err
 		}
 	}
-	// Fine epochs (the scorer, the governor, and the degradation windows all
-	// act at boundaries) and a doubled horizon so the post-window recovery —
-	// probing and LC re-admission — is observable.
-	cfg := o.Cfg
-	if cfg.EpochCycles > 5_000 {
-		cfg.EpochCycles = 5_000
-	}
+	// A doubled horizon so the post-window recovery — probing and LC
+	// re-admission — is observable.
+	cfg := sv.cfg
 	cfg.MaxCycles *= 2
 	// Every arm carries the full DVFS ladder: the gray P-state floors bite
 	// through the power manager, and the healthy arms meter energy
@@ -106,31 +91,17 @@ func (o Options) GraySweep() (Figure, error) {
 	if o.ArrivalRate > 0 {
 		gap = int(100_000 / o.ArrivalRate)
 	}
-	if gap < 1_000 {
-		gap = 1_000
-	}
-	arrivals := workload.ArrivalSpec{
-		Horizon:    cfg.MaxCycles * 3 / 4,
-		MeanGap:    gap,
-		LCFraction: qos,
-		MinLen:     4_000,
-		MaxLen:     10_000,
-		Benchmarks: benches,
-	}
+	sv.arrivals.MeanGap = max(gap, 1_000)
+	sv.arrivals.Horizon = cfg.MaxCycles * 3 / 4
 
-	arms := grayArms()
-	type armResult struct {
-		rep  *clusterserve.Report
-		line string
-	}
-	results := make([]armResult, len(arms))
-	for ai, arm := range arms {
+	var arms []clusterArm
+	for _, a := range grayArms() {
 		ccfg := clusterserve.Config{
 			GPUs:     grayGPUs,
 			Sim:      cfg,
 			Opt:      opt,
-			Arrivals: arrivals,
-			Seed:     seed,
+			Arrivals: sv.arrivals,
+			Seed:     sv.seed,
 			// Deep backend queues, unlike the failover figure: a gray GPU
 			// answers offers normally, so load-aware dispatch keeps feeding
 			// it and queued LC work rots behind the slow residents. That is
@@ -139,15 +110,15 @@ func (o Options) GraySweep() (Figure, error) {
 			// backpressures itself and every response arm ties.)
 			QueueCap:        6,
 			CheckpointEvery: o.CheckpointEvery,
-			GraySeed:        seed,
-			GrayAsCrash:     arm.asCrash,
+			GraySeed:        sv.seed,
+			GrayAsCrash:     a.asCrash,
 			Parallel:        o.Parallel,
 			Alone:           alone,
 		}
-		if arm.gray {
+		if a.gray {
 			ccfg.Gray = graySpec
 		}
-		if arm.health {
+		if a.health {
 			// Conservative progress thresholds: the cluster runs with real
 			// contention, where saturated-but-healthy GPUs can dip below the
 			// default 0.5x-median line on a bad mix. The victim is still
@@ -160,93 +131,49 @@ func (o Options) GraySweep() (Figure, error) {
 				GrowStreak:   5,
 			}
 		}
-		if o.Trace {
-			tr, err := o.cellTracer()
-			if err != nil {
-				return Figure{}, err
-			}
-			ccfg.Trace = tr
-			ccfg.BackendTracers = make([]*trace.Tracer, grayGPUs)
-			for i := range ccfg.BackendTracers {
-				bt, err := o.cellTracer()
-				if err != nil {
-					return Figure{}, err
-				}
-				ccfg.BackendTracers[i] = bt
-			}
-		}
-		fr, err := clusterserve.New(ccfg)
-		if err != nil {
-			return Figure{}, fmt.Errorf("gray %s: %w", arm.name, err)
-		}
-		rep, err := fr.Run()
-		if err != nil {
-			return Figure{}, fmt.Errorf("gray %s: %w", arm.name, err)
-		}
-		if o.Trace && o.TraceOut != nil {
-			if err := fr.WriteTrace(o.TraceOut, ai*(grayGPUs+1)); err != nil {
-				return Figure{}, err
-			}
-		}
-		results[ai] = armResult{
-			rep: rep,
-			line: fmt.Sprintf("  gray %-16s arrived=%d done=%d shed=%d rej=%d faults=%d det=%d fp=%d fn=%d latency=%.1f quar=%d saved=%.0f lcAvail=%.3f lcGoodput=%.3f p99=%.2f\n",
-				arm.name, rep.Arrived, rep.Completed, rep.Shed, rep.Rejected,
-				rep.SLO.GrayFaults, rep.SLO.GrayDetected, rep.SLO.GrayFalsePositives,
-				rep.SLO.GrayMissed, rep.SLO.GrayDetectEpochs,
-				rep.SLO.QuarantinedGPUCycles, rep.SLO.GraySavedWork,
-				rep.SLO.LCAvailability, rep.SLO.LCGoodput, rep.SLO.P99),
-		}
+		arms = append(arms, clusterArm{name: a.name, cfg: ccfg})
 	}
-	for _, r := range results {
-		o.logf("%s", r.line)
+	reps, links, err := o.runClusterArms(0, arms, func(i int, rep *clusterserve.Report) string {
+		return fmt.Sprintf("  gray %-16s arrived=%d done=%d shed=%d rej=%d faults=%d det=%d fp=%d fn=%d latency=%.1f quar=%d saved=%.0f lcAvail=%.3f lcGoodput=%.3f p99=%.2f\n",
+			arms[i].name, rep.Arrived, rep.Completed, rep.Shed, rep.Rejected,
+			rep.SLO.GrayFaults, rep.SLO.GrayDetected, rep.SLO.GrayFalsePositives,
+			rep.SLO.GrayMissed, rep.SLO.GrayDetectEpochs,
+			rep.SLO.QuarantinedGPUCycles, rep.SLO.GraySavedWork,
+			rep.SLO.LCAvailability, rep.SLO.LCGoodput, rep.SLO.P99)
+	})
+	if err != nil {
+		return Figure{}, fmt.Errorf("gray %w", err)
 	}
 
 	labels := make([]string, len(arms))
 	for i, a := range arms {
 		labels[i] = a.name
 	}
-	pick := func(get func(*clusterserve.Report) float64) []float64 {
-		out := make([]float64, len(results))
-		for i, r := range results {
-			out[i] = get(r.rep)
-		}
-		return out
-	}
+	type report = *clusterserve.Report
 	fig := Figure{
 		ID:    "gray",
 		Title: "Gray failures: LC goodput under degradation — ignore vs crash vs quarantine",
 		Series: []Series{
-			{Name: "lcGoodput", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.LCGoodput })},
-			{Name: "goodput", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.Goodput })},
-			{Name: "p99 slowdown", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.P99 })},
-			{Name: "detected", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return float64(r.SLO.GrayDetected) })},
-			{Name: "false positives", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return float64(r.SLO.GrayFalsePositives) })},
-			{Name: "detect epochs", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.GrayDetectEpochs })},
-			{Name: "LC availability", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.LCAvailability })},
-			{Name: "availability", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.Availability })},
-			{Name: "quarantined cycles", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return float64(r.SLO.QuarantinedGPUCycles) })},
-			{Name: "saved work", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.GraySavedWork })},
-			{Name: "lost work", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.LostWork })},
+			series("lcGoodput", labels, reps, func(r report) float64 { return r.SLO.LCGoodput }),
+			series("goodput", labels, reps, func(r report) float64 { return r.SLO.Goodput }),
+			series("p99 slowdown", labels, reps, func(r report) float64 { return r.SLO.P99 }),
+			series("detected", labels, reps, func(r report) float64 { return float64(r.SLO.GrayDetected) }),
+			series("false positives", labels, reps, func(r report) float64 { return float64(r.SLO.GrayFalsePositives) }),
+			series("detect epochs", labels, reps, func(r report) float64 { return r.SLO.GrayDetectEpochs }),
+			series("LC availability", labels, reps, func(r report) float64 { return r.SLO.LCAvailability }),
+			series("availability", labels, reps, func(r report) float64 { return r.SLO.Availability }),
+			series("quarantined cycles", labels, reps, func(r report) float64 { return float64(r.SLO.QuarantinedGPUCycles) }),
+			series("saved work", labels, reps, func(r report) float64 { return r.SLO.GraySavedWork }),
+			series("lost work", labels, reps, func(r report) float64 { return r.SLO.LostWork }),
 		},
 		Notes: []string{
-			fmt.Sprintf("%d GPUs; degradation %q seeded by the arrival seed (%d); windows sit in the middle 60%% of the horizon", grayGPUs, graySpec.WithDefaults().String(), seed),
+			fmt.Sprintf("%d GPUs; degradation %q seeded by the arrival seed (%d); windows sit in the middle 60%% of the horizon", grayGPUs, graySpec.WithDefaults().String(), sv.seed),
 			"all arms share one arrival schedule and one degradation schedule; identical seeds give byte-identical merged traces at any -parallel",
 			"scorer: per-GPU progress vs peer median with streak + dead-band hysteresis; DVFS-capped epochs are neutral (no false conviction)",
 			"quarantine drains LC with live progress (nothing rolls back); crash-style response pays checkpoint rollback + retry backoff",
 			"detection latency in epochs from window start to suspicion; LC availability excludes quarantined (alive) GPU-cycles",
 		},
 	}
-	if cfg.DigestEvery > 0 {
-		sweepDig := digest.New()
-		for _, r := range results {
-			sweepDig = sweepDig.U64(r.rep.SLO.StateDigest)
-			for _, bc := range r.rep.BackendDigests {
-				sweepDig = sweepDig.U64(bc.Final())
-			}
-		}
-		fig.Notes = append(fig.Notes,
-			fmt.Sprintf("state digest %016x over all arms and backends (chained every %d epochs); must match across serial/parallel and fast-forward on/off", uint64(sweepDig), cfg.DigestEvery))
-	}
+	fig.Notes = append(fig.Notes, o.digestNote(links, "all arms and backends")...)
 	return fig, nil
 }

@@ -19,8 +19,6 @@ import (
 	clusterserve "ugpu/internal/cluster/serve"
 	"ugpu/internal/metrics"
 	"ugpu/internal/power"
-	"ugpu/internal/trace"
-	"ugpu/internal/workload"
 )
 
 // powerGPUs is the figure's cluster size: two backends are enough to
@@ -62,154 +60,94 @@ func nominalOnlyPower() *power.Config {
 	}
 }
 
-// PowerSweep regenerates the energy/throughput Pareto comparison. Arms run
-// serially — the cap arms' budgets derive from the baseline arm's measured
-// power — while each arm's per-GPU stepping fans out over -parallel
-// workers; output and merged traces are byte-identical at any worker count.
+// PowerSweep regenerates the energy/throughput Pareto comparison. The
+// baseline arm runs first, on its own, because the cap arms' budgets
+// derive from its measured power; each arm's per-GPU stepping fans out
+// over -parallel workers, so output and merged traces are byte-identical
+// at any worker count.
 func (o Options) PowerSweep() (Figure, error) {
-	benches, err := serveBenchPool()
+	sv, err := o.servingSetup()
 	if err != nil {
 		return Figure{}, err
 	}
-	seed := o.ServeSeed
-	if seed == 0 {
-		seed = 1
-	}
-	qos := o.QoSMix
-	if qos == 0 {
-		qos = 0.5
-	}
-	// Fine epochs, as in the serve sweep: the governor and the cap
-	// arbiter only act at boundaries, so coarse epochs would quantise the
-	// feedback loops into a handful of steps.
-	cfg := o.Cfg
-	if cfg.EpochCycles > 5_000 {
-		cfg.EpochCycles = 5_000
-	}
+	// The governor and the cap arbiter only act at epoch boundaries, so the
+	// serving sweeps' fine epochs keep their feedback loops from being
+	// quantised into a handful of steps.
+	cfg := sv.cfg
 	alone := metrics.NewAloneIPC(cfg, o.gpuOptions())
 	// Lighter stream than the failover figure: the point is steady-state
 	// serving with real SLO attainment, not overload — saturated queues
 	// would zero every arm's goodput and make the LC-unchanged comparison
 	// vacuous.
-	gap := cfg.MaxCycles / 32
-	if gap < 1_000 {
-		gap = 1_000
-	}
-	arrivals := workload.ArrivalSpec{
-		Horizon:    cfg.MaxCycles * 3 / 4,
-		MeanGap:    gap,
-		LCFraction: qos,
-		MinLen:     4_000,
-		MaxLen:     10_000,
-		Benchmarks: benches,
-	}
+	sv.arrivals.MeanGap = max(cfg.MaxCycles/32, 1_000)
+	sv.arrivals.Horizon = cfg.MaxCycles * 3 / 4
 
 	arms := o.powerArms()
-	type armResult struct {
-		rep  *clusterserve.Report
-		capW float64
-		line string
-	}
-	results := make([]armResult, len(arms))
-	basePower := 0.0
-	for ai, arm := range arms {
+	caps := make([]float64, len(arms))
+	armAt := func(i int) clusterArm {
 		opt := o.gpuOptions()
-		if arm.dvfs {
+		if arms[i].dvfs {
 			opt.Power = &power.Config{}
 		} else {
 			opt.Power = nominalOnlyPower()
 		}
-		capW := arm.capW
-		if arm.capFrac > 0 {
-			capW = arm.capFrac * basePower
-		}
-		ccfg := clusterserve.Config{
+		return clusterArm{name: arms[i].name, cfg: clusterserve.Config{
 			GPUs:     powerGPUs,
 			Sim:      cfg,
 			Opt:      opt,
-			Arrivals: arrivals,
-			Seed:     seed,
+			Arrivals: sv.arrivals,
+			Seed:     sv.seed,
 			QueueCap: 4,
-			PowerCap: capW,
+			PowerCap: caps[i],
 			Parallel: o.Parallel,
 			Alone:    alone,
-		}
-		if o.Trace {
-			tr, err := o.cellTracer()
-			if err != nil {
-				return Figure{}, err
-			}
-			ccfg.Trace = tr
-			ccfg.BackendTracers = make([]*trace.Tracer, powerGPUs)
-			for i := range ccfg.BackendTracers {
-				bt, err := o.cellTracer()
-				if err != nil {
-					return Figure{}, err
-				}
-				ccfg.BackendTracers[i] = bt
-			}
-		}
-		fr, err := clusterserve.New(ccfg)
-		if err != nil {
-			return Figure{}, fmt.Errorf("power %s: %w", arm.name, err)
-		}
-		rep, err := fr.Run()
-		if err != nil {
-			return Figure{}, fmt.Errorf("power %s: %w", arm.name, err)
-		}
-		if o.Trace && o.TraceOut != nil {
-			if err := fr.WriteTrace(o.TraceOut, ai*(powerGPUs+1)); err != nil {
-				return Figure{}, err
-			}
-		}
-		if arm.name == "baseline" {
-			basePower = rep.MeanPower
-		}
-		results[ai] = armResult{
-			rep:  rep,
-			capW: capW,
-			line: fmt.Sprintf("  power %-10s energy=%.0f meanW=%.1f ipc=%.3f lcGoodput=%.3f p99=%.2f transitions=%d cap=%.0fW\n",
-				arm.name, rep.Energy.Total, rep.MeanPower,
-				float64(rep.Served)/float64(rep.Cycles),
-				rep.SLO.LCGoodput, rep.SLO.P99, rep.Energy.Transitions, capW),
-		}
+		}}
 	}
-	for _, r := range results {
-		o.logf("%s", r.line)
+	line := func(i int, rep *clusterserve.Report) string {
+		return fmt.Sprintf("  power %-10s energy=%.0f meanW=%.1f ipc=%.3f lcGoodput=%.3f p99=%.2f transitions=%d cap=%.0fW\n",
+			arms[i].name, rep.Energy.Total, rep.MeanPower,
+			float64(rep.Served)/float64(rep.Cycles),
+			rep.SLO.LCGoodput, rep.SLO.P99, rep.Energy.Transitions, caps[i])
 	}
+	reps, links, err := o.runClusterArms(0, []clusterArm{armAt(0)}, line)
+	if err != nil {
+		return Figure{}, fmt.Errorf("power %w", err)
+	}
+	var rest []clusterArm
+	for i := 1; i < len(arms); i++ {
+		caps[i] = arms[i].capW
+		if arms[i].capFrac > 0 {
+			caps[i] = arms[i].capFrac * reps[0].MeanPower
+		}
+		rest = append(rest, armAt(i))
+	}
+	restReps, restLinks, err := o.runClusterArms(1, rest, line)
+	if err != nil {
+		return Figure{}, fmt.Errorf("power %w", err)
+	}
+	reps, links = append(reps, restReps...), append(links, restLinks...)
 
 	labels := make([]string, len(arms))
 	for i, a := range arms {
 		labels[i] = a.name
 	}
-	base := results[0].rep
-	pick := func(get func(*clusterserve.Report) float64) []float64 {
-		out := make([]float64, len(results))
-		for i, r := range results {
-			out[i] = get(r.rep)
-		}
-		return out
-	}
-	rel := func(get func(*clusterserve.Report) float64) []float64 {
-		out := make([]float64, len(results))
-		b := get(base)
-		for i, r := range results {
+	type report = *clusterserve.Report
+	rel := func(get func(report) float64) func(report) float64 {
+		b := get(reps[0])
+		return func(r report) float64 {
 			if b > 0 {
-				out[i] = (b - get(r.rep)) / b * 100
+				return (b - get(r)) / b * 100
 			}
+			return 0
 		}
-		return out
 	}
-	ipc := func(r *clusterserve.Report) float64 {
+	ipc := func(r report) float64 {
 		if r.Cycles == 0 {
 			return 0
 		}
 		return float64(r.Served) / float64(r.Cycles)
 	}
-	caps := make([]float64, len(results))
-	for i, r := range results {
-		caps[i] = r.capW
-	}
+	energy := func(r report) float64 { return r.Energy.Total }
 	capNote := "baseline runs a single nominal operating point (governor no-op); cap arms budget 85%/70% of baseline measured power"
 	if o.PowerCap > 0 {
 		capNote = fmt.Sprintf("baseline runs a single nominal operating point (governor no-op); cap arm budgets %.0f W (-power-cap)", o.PowerCap)
@@ -218,22 +156,23 @@ func (o Options) PowerSweep() (Figure, error) {
 		ID:    "power",
 		Title: "Power management: energy/throughput Pareto under DVFS and power capping",
 		Series: []Series{
-			{Name: "energy (units)", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.Energy.Total })},
-			{Name: "energy saved %", Labels: labels, Values: rel(func(r *clusterserve.Report) float64 { return r.Energy.Total })},
-			{Name: "mean power (W)", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.MeanPower })},
-			{Name: "IPC", Labels: labels, Values: pick(ipc)},
-			{Name: "IPC loss %", Labels: labels, Values: rel(ipc)},
-			{Name: "lcGoodput", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.LCGoodput })},
-			{Name: "p99 slowdown", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.P99 })},
-			{Name: "transitions", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return float64(r.Energy.Transitions) })},
+			series("energy (units)", labels, reps, energy),
+			series("energy saved %", labels, reps, rel(energy)),
+			series("mean power (W)", labels, reps, func(r report) float64 { return r.MeanPower }),
+			series("IPC", labels, reps, ipc),
+			series("IPC loss %", labels, reps, rel(ipc)),
+			series("lcGoodput", labels, reps, func(r report) float64 { return r.SLO.LCGoodput }),
+			series("p99 slowdown", labels, reps, func(r report) float64 { return r.SLO.P99 }),
+			series("transitions", labels, reps, func(r report) float64 { return float64(r.Energy.Transitions) }),
 			{Name: "cap (W)", Labels: labels, Values: caps},
 		},
 		Notes: []string{
-			fmt.Sprintf("%d GPUs; all arms share one LC/BE arrival schedule (seed %d); energy metered identically in every arm", powerGPUs, seed),
+			fmt.Sprintf("%d GPUs; all arms share one LC/BE arrival schedule (seed %d); energy metered identically in every arm", powerGPUs, sv.seed),
 			capNote,
 			"the governor downclocks memory-bound slices' SMs and compute-bound slices' channels; LC slices keep nominal frequency",
 			"the cluster arbiter splits the cap across alive GPUs and re-grants measured headroom; per-GPU caps emit KPower events",
 		},
 	}
+	fig.Notes = append(fig.Notes, o.digestNote(links, "all arms and backends")...)
 	return fig, nil
 }

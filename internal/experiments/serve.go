@@ -11,28 +11,12 @@ package experiments
 import (
 	"fmt"
 
-	"ugpu/internal/digest"
 	"ugpu/internal/fault"
 	"ugpu/internal/metrics"
-	"ugpu/internal/parallel"
 	"ugpu/internal/serve"
+	"ugpu/internal/trace"
 	"ugpu/internal/workload"
 )
-
-// serveBenchPool returns the serving request mix: three compute-bound and
-// three memory-bound Table 2 benchmarks, so admission policies face both
-// kinds of pressure.
-func serveBenchPool() ([]workload.Benchmark, error) {
-	var out []workload.Benchmark
-	for _, abbr := range []string{"DXTC", "BH", "HOTSPOT", "PVC", "LBM", "FWT"} {
-		b, err := workload.ByAbbr(abbr)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-	return out, nil
-}
 
 // serveRates returns the sweep's arrival rates in jobs per 100K cycles:
 // rising load by default, or the single custom rate from -arrival-rate.
@@ -48,35 +32,20 @@ func (o Options) serveRates() []float64 {
 // pool and are reassembled in policy-then-rate order, so the output is
 // byte-identical at any -parallel count.
 func (o Options) ServeSweep() (Figure, error) {
-	benches, err := serveBenchPool()
+	sv, err := o.servingSetup()
 	if err != nil {
 		return Figure{}, err
 	}
 	rates := o.serveRates()
 	pols := serve.Policies()
-	seed := o.ServeSeed
-	if seed == 0 {
-		seed = 1
-	}
-	qos := o.QoSMix
-	if qos == 0 {
-		qos = 0.5
-	}
-	// Admission happens at epoch boundaries, so the serving quantum must be
-	// fine relative to job lengths: the sweep caps the epoch at 5K cycles
-	// (the closed-world experiments' 25K default would quantise queueing
-	// delay into multiples of a job's whole runtime).
-	cfg := o.Cfg
-	if cfg.EpochCycles > 5_000 {
-		cfg.EpochCycles = 5_000
-	}
 	// An online run needs enough arrivals for percentiles to mean anything;
 	// the closed-world default of 150K cycles sees only a handful. Double
 	// the horizon (still scaled: -cycles scales this proportionally).
+	cfg := sv.cfg
 	cfg.MaxCycles *= 2
 	// Arrivals stop at 2/3 of the horizon so the tail of the run drains the
 	// queues; jobs still in flight at MaxCycles count as incomplete.
-	horizon := cfg.MaxCycles * 2 / 3
+	sv.arrivals.Horizon = cfg.MaxCycles * 2 / 3
 	// -faults serves the stream on a degraded machine; the alone reference
 	// stays healthy (slowdowns are measured against an undamaged GPU).
 	opt := o.gpuOptions()
@@ -90,54 +59,28 @@ func (o Options) ServeSweep() (Figure, error) {
 	}
 	alone := metrics.NewAloneIPC(cfg, o.gpuOptions())
 
-	type cell struct {
-		pol  serve.Policy
-		rate float64
-	}
-	var cells []cell
-	for _, p := range pols {
-		for _, r := range rates {
-			cells = append(cells, cell{pol: p, rate: r})
-		}
-	}
-	type cellResult struct {
-		p99, reject, goodput float64
-		dig                  uint64 // final state-digest chain link (0 when digesting is off)
-		line                 string
-	}
-	sink := parallel.NewOrderedSink(len(cells))
-	out, err := parallel.Map(o.runner(), len(cells), func(i int) (cellResult, error) {
-		c := cells[i]
-		// Per-cell tracer: each cell is one simulation goroutine, so the
-		// tracer follows the same single-owner rule as the GPU itself.
-		tr, err := o.cellTracer()
-		if err != nil {
-			return cellResult{}, err
-		}
+	type cellResult struct{ p99, reject, goodput float64 }
+	out, links, err := runCells(o, o.Parallel, 0, len(pols)*len(rates), 1, func(i int, trs []*trace.Tracer) (cellOut[cellResult], error) {
+		pol, rate := pols[i/len(rates)], rates[i%len(rates)]
 		cellOpt := opt
-		cellOpt.Trace = tr
+		cellOpt.Trace = trs[0]
+		arrivals := sv.arrivals
+		arrivals.MeanGap = int(100_000 / rate)
 		s, err := serve.New(serve.Config{
-			Sim: cfg,
-			Opt: cellOpt,
-			Arrivals: workload.ArrivalSpec{
-				Horizon:    horizon,
-				MeanGap:    int(100_000 / c.rate),
-				LCFraction: qos,
-				MinLen:     4_000,
-				MaxLen:     10_000,
-				Benchmarks: benches,
-			},
-			Seed:     seed,
-			Policy:   c.pol,
+			Sim:      cfg,
+			Opt:      cellOpt,
+			Arrivals: arrivals,
+			Seed:     sv.seed,
+			Policy:   pol,
 			QueueCap: 8,
 			Alone:    alone,
 		})
 		if err != nil {
-			return cellResult{}, fmt.Errorf("serve %s rate=%g: %w", c.pol, c.rate, err)
+			return cellOut[cellResult]{}, fmt.Errorf("serve %s rate=%g: %w", pol, rate, err)
 		}
 		rep, err := s.Run()
 		if err != nil {
-			return cellResult{}, fmt.Errorf("serve %s rate=%g: %w", c.pol, c.rate, err)
+			return cellOut[cellResult]{}, fmt.Errorf("serve %s rate=%g: %w", pol, rate, err)
 		}
 		spec := metrics.DefaultSLO()
 		lcMet, beMet := 0, 0
@@ -154,27 +97,15 @@ func (o Options) ServeSweep() (Figure, error) {
 				}
 			}
 		}
-		line := fmt.Sprintf("  serve %-12s rate=%-4g arrived=%d done=%d rej=%d preempt=%d lcMet=%d beMet=%d p99=%.2f goodput=%.3f\n",
-			c.pol, c.rate, rep.Arrived, rep.SLO.Completed, rep.Rejections, rep.Preemptions, lcMet, beMet, rep.SLO.P99, rep.SLO.Goodput)
-		if err := flushTraceTask(sink.Task(i), i, tr); err != nil {
-			return cellResult{}, err
-		}
-		return cellResult{
-			p99:     rep.SLO.P99,
-			reject:  rep.SLO.RejectRate,
-			goodput: rep.SLO.Goodput,
-			dig:     rep.SLO.StateDigest,
-			line:    line,
+		return cellOut[cellResult]{
+			val: cellResult{p99: rep.SLO.P99, reject: rep.SLO.RejectRate, goodput: rep.SLO.Goodput},
+			line: fmt.Sprintf("  serve %-12s rate=%-4g arrived=%d done=%d rej=%d preempt=%d lcMet=%d beMet=%d p99=%.2f goodput=%.3f\n",
+				pol, rate, rep.Arrived, rep.SLO.Completed, rep.Rejections, rep.Preemptions, lcMet, beMet, rep.SLO.P99, rep.SLO.Goodput),
+			digs: []uint64{rep.SLO.StateDigest},
 		}, nil
 	})
 	if err != nil {
 		return Figure{}, err
-	}
-	if err := o.emitTrace(sink); err != nil {
-		return Figure{}, err
-	}
-	for _, r := range out {
-		o.logf("%s", r.line)
 	}
 
 	labels := make([]string, len(rates))
@@ -189,36 +120,23 @@ func (o Options) ServeSweep() (Figure, error) {
 	// policy p's rates occupy out[p*len(rates) : (p+1)*len(rates)].
 	for pi, p := range pols {
 		row := out[pi*len(rates) : (pi+1)*len(rates)]
-		p99s := make([]float64, len(row))
-		rejs := make([]float64, len(row))
-		goods := make([]float64, len(row))
-		for i, r := range row {
-			p99s[i], rejs[i], goods[i] = r.p99, r.reject, r.goodput
-		}
 		fig.Series = append(fig.Series,
-			Series{Name: p.String() + " p99", Labels: labels, Values: p99s},
-			Series{Name: p.String() + " rejectRate", Labels: labels, Values: rejs},
-			Series{Name: p.String() + " goodput", Labels: labels, Values: goods},
+			series(p.String()+" p99", labels, row, func(r cellResult) float64 { return r.p99 }),
+			series(p.String()+" rejectRate", labels, row, func(r cellResult) float64 { return r.reject }),
+			series(p.String()+" goodput", labels, row, func(r cellResult) float64 { return r.goodput }),
 		)
 	}
 	spec := metrics.DefaultSLO()
 	fig.Notes = append(fig.Notes,
 		fmt.Sprintf("rates in jobs per 100K cycles; LC fraction %.2f; SLO: LC slowdown <= %g, BE <= %g",
-			qos, spec.LCSlowdown, spec.BESlowdown),
-		fmt.Sprintf("arrival seed %d; identical seeds give byte-identical reports at any -parallel", seed),
+			sv.qos, spec.LCSlowdown, spec.BESlowdown),
+		fmt.Sprintf("arrival seed %d; identical seeds give byte-identical reports at any -parallel", sv.seed),
 		"goodput = SLO-met completed alone-cycles per horizon cycle",
 		"at moderate load in-order's FIFO maximises raw completions; under overload its head-of-line blocking misses every LC target and class-aware wins on both goodput and tail")
 	if o.FaultSpec != "" {
 		fig.Notes = append(fig.Notes,
 			fmt.Sprintf("served on a degraded machine (faults %q, seed %d); slowdowns remain relative to a healthy alone run", o.FaultSpec, o.FaultSeed))
 	}
-	if o.Cfg.DigestEvery > 0 {
-		sweepDig := digest.New()
-		for _, r := range out {
-			sweepDig = sweepDig.U64(r.dig)
-		}
-		fig.Notes = append(fig.Notes,
-			fmt.Sprintf("state digest %016x over all cells (chained every %d epochs); must match across serial/parallel and fast-forward on/off", uint64(sweepDig), o.Cfg.DigestEvery))
-	}
+	fig.Notes = append(fig.Notes, o.digestNote(links, "all cells")...)
 	return fig, nil
 }

@@ -31,8 +31,9 @@ package gpu
 //
 // Both mechanisms are elisions of provable no-ops, so Totals, epoch stats,
 // traces, and figure outputs are byte-identical with the engine on or off
-// (Options.NoFastForward). The differential tests in fastforward_test.go and
-// `make ff-smoke` pin that property down.
+// (Options.NoFastForward). The differential tests in fastforward_test.go,
+// the experiments package's TestModeMatrix and `make smoke` pin that
+// property down.
 
 import "ugpu/internal/sm"
 import "ugpu/internal/trace"
