@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race bench vet check cover smoke bench-check experiments bench-json clean
+.PHONY: all build test short race bench bench-once vet check cover smoke bench-check experiments bench-json clean
 
 all: check
 
@@ -29,12 +29,17 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
+## bench-once: every Go benchmark for one iteration (~30 s), so a benchmark
+## that no longer builds or runs fails the gate
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
 ## vet: static analysis; must be clean
 vet:
 	$(GO) vet ./...
 
 ## check: everything the CI gate runs
-check: build vet test race
+check: build vet test race bench-once
 
 ## cover: per-package coverage summary (short mode keeps it fast)
 cover:

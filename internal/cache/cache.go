@@ -10,18 +10,28 @@ package cache
 
 // Cache is a set-associative tag array with LRU replacement. The zero value
 // is not usable; use New.
+//
+// Each set is one contiguous run of ways holding tag and LRU stamp together,
+// so a lookup walks a single array and touches nothing else. A way is valid
+// iff its stamp is non-zero: the clock advances before every stamp, so a
+// valid way never holds 0. A set's valid ways are always a prefix of its
+// run: fills take the first invalid way, InvalidateAll clears every way, and
+// Invalidate moves the set's last valid way into the hole. Ways never move
+// otherwise, so way positions and stamps are exactly those a per-way valid
+// bit would give.
 type Cache struct {
 	sets      int
 	ways      int
 	lineShift uint
 
-	tags  []uint64 // sets*ways; valid bit encoded separately
-	valid []bool
-	stamp []uint64 // LRU timestamps
+	lines []way // sets*ways, set-major
 	clock uint64
 
 	stats Stats
 }
+
+// way is one tag-array entry; stamp is its LRU timestamp, 0 when invalid.
+type way struct{ tag, stamp uint64 }
 
 // Stats holds cumulative access counters.
 type Stats struct {
@@ -45,9 +55,7 @@ func New(sets, ways, lineBytes int) *Cache {
 		sets:      sets,
 		ways:      ways,
 		lineShift: shift,
-		tags:      make([]uint64, sets*ways),
-		valid:     make([]bool, sets*ways),
-		stamp:     make([]uint64, sets*ways),
+		lines:     make([]way, sets*ways),
 	}
 }
 
@@ -60,16 +68,25 @@ func (c *Cache) setOf(line uint64) int {
 	return int(h % uint64(c.sets))
 }
 
+// set returns the ways of the set holding line.
+func (c *Cache) set(line uint64) []way {
+	base := c.setOf(line) * c.ways
+	return c.lines[base : base+c.ways]
+}
+
 // Access looks up pa, updating LRU state on a hit. It reports whether the
 // line was present.
 func (c *Cache) Access(pa uint64) bool {
 	c.stats.Accesses++
 	c.clock++
 	line := c.lineOf(pa)
-	base := c.setOf(line) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
-			c.stamp[base+w] = c.clock
+	ws := c.set(line)
+	for i := range ws {
+		if ws[i].stamp == 0 {
+			break
+		}
+		if ws[i].tag == line {
+			ws[i].stamp = c.clock
 			c.stats.Hits++
 			return true
 		}
@@ -82,66 +99,68 @@ func (c *Cache) Access(pa uint64) bool {
 // state.
 func (c *Cache) Peek(pa uint64) bool {
 	line := c.lineOf(pa)
-	base := c.setOf(line) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
+	for _, w := range c.set(line) {
+		if w.stamp == 0 {
+			break
+		}
+		if w.tag == line {
 			return true
 		}
 	}
 	return false
 }
 
-// Fill inserts the line containing pa, evicting the LRU way if the set is
-// full. Filling a line that is already present refreshes its LRU stamp.
+// Fill inserts the line containing pa into the set's first invalid way, or
+// evicts the LRU way if the set is full. Filling a line that is already
+// present refreshes its LRU stamp.
 func (c *Cache) Fill(pa uint64) {
 	c.clock++
 	line := c.lineOf(pa)
-	base := c.setOf(line) * c.ways
-	victim := base
-	var oldest uint64 = ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if !c.valid[i] {
-			victim = i
-			oldest = 0
-			break
-		}
-		if c.tags[i] == line {
-			c.stamp[i] = c.clock
+	ws := c.set(line)
+	victim := 0
+	oldest := ^uint64(0)
+	for i := range ws {
+		stamp := ws[i].stamp
+		if stamp == 0 {
+			ws[i] = way{line, c.clock}
 			return
 		}
-		if c.stamp[i] < oldest {
-			oldest = c.stamp[i]
-			victim = i
+		if ws[i].tag == line {
+			ws[i].stamp = c.clock
+			return
+		}
+		if stamp < oldest {
+			oldest, victim = stamp, i
 		}
 	}
-	if c.valid[victim] {
-		c.stats.Evictions++
-	}
-	c.tags[victim] = line
-	c.valid[victim] = true
-	c.stamp[victim] = c.clock
+	c.stats.Evictions++
+	ws[victim] = way{line, c.clock}
 }
 
-// Invalidate removes the line containing pa if present.
+// Invalidate removes the line containing pa if present. The set's last
+// valid way moves into the hole, keeping the valid ways a prefix.
 func (c *Cache) Invalidate(pa uint64) {
 	line := c.lineOf(pa)
-	base := c.setOf(line) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
-			c.valid[base+w] = false
-			return
+	ws := c.set(line)
+	hole := -1
+	last := len(ws) - 1
+	for i := range ws {
+		if ws[i].stamp == 0 {
+			last = i - 1
+			break
 		}
+		if ws[i].tag == line {
+			hole = i
+		}
+	}
+	if hole >= 0 {
+		ws[hole], ws[last] = ws[last], way{}
 	}
 }
 
 // InvalidateAll flushes the whole cache (used when memory resources are
 // reallocated, Section 4.4).
-func (c *Cache) InvalidateAll() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-}
+func (c *Cache) InvalidateAll() { clear(c.lines) }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -152,28 +171,34 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // Occupancy reports the number of valid lines (for tests and invariants).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, v := range c.valid {
-		if v {
+	for _, w := range c.lines {
+		if w.stamp != 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// CheckInvariants verifies that no set holds duplicate tags and that valid
-// counts are within capacity. It returns false on corruption; tests use it
-// as a property check.
+// CheckInvariants verifies that every set's valid ways form a prefix and
+// hold no duplicate tags. It returns false on corruption; tests use it as a
+// property check.
 func (c *Cache) CheckInvariants() bool {
-	for s := 0; s < c.sets; s++ {
-		base := s * c.ways
-		for i := 0; i < c.ways; i++ {
-			if !c.valid[base+i] {
-				continue
-			}
-			for j := i + 1; j < c.ways; j++ {
-				if c.valid[base+j] && c.tags[base+i] == c.tags[base+j] {
+	for base := 0; base < len(c.lines); base += c.ways {
+		ws := c.lines[base : base+c.ways]
+		n := 0
+		for n < len(ws) && ws[n].stamp != 0 {
+			n++
+		}
+		for i := range ws[:n] {
+			for j := i + 1; j < n; j++ {
+				if ws[i].tag == ws[j].tag {
 					return false
 				}
+			}
+		}
+		for _, w := range ws[n:] {
+			if w.stamp != 0 {
+				return false
 			}
 		}
 	}

@@ -22,17 +22,17 @@ func (c *Cache) AppendDigest(h digest.Hash) digest.Hash {
 // folds alone.
 func AppendDigestPair(ha digest.Hash, a *Cache, hb digest.Hash, b *Cache) (digest.Hash, digest.Hash) {
 	ha, hb = a.appendHeader(ha), b.appendHeader(hb)
-	n := min(len(a.tags), len(b.tags))
+	n := min(len(a.lines), len(b.lines))
 	// The per-line fold of appendLines, written out for each side: as a
 	// call it is too large to inline.
 	for i := 0; i < n; i++ {
-		if a.valid[i] {
-			ha = ha.Bool(true).U64(a.tags[i]).U64(a.stamp[i])
+		if w := a.lines[i]; w.stamp != 0 {
+			ha = ha.Bool(true).U64(w.tag).U64(w.stamp)
 		} else {
 			ha = ha.Bool(false)
 		}
-		if b.valid[i] {
-			hb = hb.Bool(true).U64(b.tags[i]).U64(b.stamp[i])
+		if w := b.lines[i]; w.stamp != 0 {
+			hb = hb.Bool(true).U64(w.tag).U64(w.stamp)
 		} else {
 			hb = hb.Bool(false)
 		}
@@ -46,9 +46,9 @@ func (c *Cache) appendHeader(h digest.Hash) digest.Hash {
 
 // appendLines folds the tag array from line index from on.
 func (c *Cache) appendLines(h digest.Hash, from int) digest.Hash {
-	for i := from; i < len(c.tags); i++ {
-		if c.valid[i] {
-			h = h.Bool(true).U64(c.tags[i]).U64(c.stamp[i])
+	for _, w := range c.lines[from:] {
+		if w.stamp != 0 {
+			h = h.Bool(true).U64(w.tag).U64(w.stamp)
 		} else {
 			h = h.Bool(false)
 		}

@@ -222,6 +222,14 @@ func (c Config) AggregateBandwidthGBs() float64 {
 	return bytesPerCycle * float64(c.SMClockMHz) * 1e6 / 1e9
 }
 
+// Geometry bounds. The SM's ready-warp set and an HBM channel's non-empty
+// bank set are each one 64-bit mask. Table 1 (64 warps, 16 banks per
+// channel) is inside them.
+const (
+	MaxWarpsPerSM      = 64
+	MaxBanksPerChannel = 64
+)
+
 // FieldError is a typed configuration validation failure naming the exact
 // offending field. Callers can match it with errors.As to report which knob
 // to fix.
@@ -251,6 +259,8 @@ func (c Config) Validate() error {
 		return fieldErr("NumSMs", c.NumSMs, "must be positive")
 	case c.WarpsPerSM <= 0:
 		return fieldErr("WarpsPerSM", c.WarpsPerSM, "must be positive")
+	case c.WarpsPerSM > MaxWarpsPerSM:
+		return fieldErr("WarpsPerSM", c.WarpsPerSM, fmt.Sprintf("must be at most %d", MaxWarpsPerSM))
 	case c.WarpsPerTB <= 0:
 		return fieldErr("WarpsPerTB", c.WarpsPerTB, "must be positive")
 	case c.WarpsPerSM%c.WarpsPerTB != 0:
@@ -275,6 +285,8 @@ func (c Config) Validate() error {
 		return fieldErr("BankGroups", c.BankGroups, "must be a positive power of two")
 	case c.BanksPerGroup <= 0 || c.BanksPerGroup&(c.BanksPerGroup-1) != 0:
 		return fieldErr("BanksPerGroup", c.BanksPerGroup, "must be a positive power of two")
+	case c.BankGroups*c.BanksPerGroup > MaxBanksPerChannel:
+		return fieldErr("BanksPerGroup", c.BanksPerGroup, fmt.Sprintf("times BankGroups (%d) must be at most %d banks per channel", c.BankGroups, MaxBanksPerChannel))
 	case c.LLCSlices <= 0 || c.LLCSlices%c.NumChannels() != 0:
 		return fieldErr("LLCSlices", c.LLCSlices, fmt.Sprintf("must be a positive multiple of the channel count (%d)", c.NumChannels()))
 	case c.L1Sets <= 0:

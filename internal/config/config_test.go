@@ -1,8 +1,11 @@
 package config
 
 import (
+	"errors"
 	"math"
 	"testing"
+
+	"ugpu/internal/sm"
 )
 
 func TestDefaultMatchesTable1(t *testing.T) {
@@ -108,6 +111,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"non-pow2 bank groups", func(c *Config) { c.BankGroups = 3 }},
 		{"slices not multiple of channels", func(c *Config) { c.LLCSlices = 63 }},
 		{"zero LLC ways", func(c *Config) { c.LLCWays = 0 }},
+		{"warps past the ready mask", func(c *Config) { c.WarpsPerSM = 2 * MaxWarpsPerSM }},
+		{"banks past the bank mask", func(c *Config) { c.BankGroups, c.BanksPerGroup = 8, 16 }},
 		{"zero burst", func(c *Config) { c.BurstCycles = 0 }},
 		{"zero epoch", func(c *Config) { c.EpochCycles = 0 }},
 		{"zero queue", func(c *Config) { c.QueueEntries = 0 }},
@@ -121,5 +126,35 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 				t.Errorf("Validate() accepted invalid config (%s)", m.name)
 			}
 		})
+	}
+}
+
+// TestValidateGeometryBounds: the mask bounds reject one past the limit with
+// the named field, accept the limit itself, and match the package that
+// relies on them.
+func TestValidateGeometryBounds(t *testing.T) {
+	cases := []struct {
+		name, field string
+		mut         func(*Config)
+	}{
+		{"warps", "WarpsPerSM", func(c *Config) { c.WarpsPerSM, c.WarpsPerTB = MaxWarpsPerSM+1, 1 }},
+		{"banks", "BanksPerGroup", func(c *Config) { c.BankGroups, c.BanksPerGroup = 4, 32 }},
+	}
+	for _, tc := range cases {
+		c := Default()
+		tc.mut(&c)
+		var fe *FieldError
+		if err := c.Validate(); !errors.As(err, &fe) || fe.Field != tc.field {
+			t.Errorf("%s: Validate() = %v, want a %s field error", tc.name, err, tc.field)
+		}
+	}
+	c := Default()
+	c.WarpsPerSM, c.WarpsPerTB = MaxWarpsPerSM, 8
+	c.BankGroups, c.BanksPerGroup = 4, MaxBanksPerChannel/4
+	if err := c.Validate(); err != nil {
+		t.Errorf("Validate() rejected the bounds themselves: %v", err)
+	}
+	if sm.MaxWarps != MaxWarpsPerSM {
+		t.Errorf("sm.MaxWarps = %d, config.MaxWarpsPerSM = %d", sm.MaxWarps, MaxWarpsPerSM)
 	}
 }

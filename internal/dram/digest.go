@@ -33,7 +33,7 @@ func (b *bank) appendDigest(h digest.Hash) digest.Hash {
 	return h
 }
 
-func (c *channel) appendDigest(h digest.Hash) digest.Hash {
+func (c *channel) appendDigest(h digest.Hash, queued int) digest.Hash {
 	for i := range c.banks {
 		h = c.banks[i].appendDigest(h)
 	}
@@ -45,7 +45,7 @@ func (c *channel) appendDigest(h digest.Hash) digest.Hash {
 	for _, t := range c.actTimes {
 		h = h.I64(t)
 	}
-	h = h.Int(c.actIdx).Int(c.rrBank).Int(c.queued).I64(c.lastUse).
+	h = h.Int(c.actIdx).Int(c.rrBank).Int(queued).I64(c.lastUse).
 		Bool(c.degraded).Int(c.freqNum).Int(c.freqDen)
 	st := c.stats
 	return h.U64(st.Reads).U64(st.Writes).U64(st.RowHits).U64(st.RowMisses).
@@ -77,8 +77,8 @@ func (j *migJob) appendDigest(h digest.Hash) digest.Hash {
 // counter state.
 func (h *HBM) AppendDigest(d digest.Hash) digest.Hash {
 	d = d.Int(len(h.channels))
-	for _, c := range h.channels {
-		d = c.appendDigest(d)
+	for i, c := range h.channels {
+		d = c.appendDigest(d, h.queued[i])
 	}
 	for _, a := range h.perApp {
 		d = d.U64(a.ReadLines).U64(a.WriteLines)

@@ -18,6 +18,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ugpu/internal/addr"
 	"ugpu/internal/config"
@@ -57,10 +58,17 @@ const farPast = int64(-1) << 40
 // append/reslice slice: popping via queue[1:] advances the backing array's
 // base, so every push would eventually reallocate — on the simulator's
 // hottest path that was one allocation per handful of DRAM commands.
+//
+// headAt and headRow copy the head request's enqueue cycle and row, so the
+// scheduler's scan reads only the bank array; qPush and qPop refresh them.
+// The fields the scan reads come first.
 type bank struct {
-	openRow  int
+	headAt   uint64
+	headRow  int
 	readyAt  int64 // earliest cycle the bank accepts another command
+	openRow  int
 	actAt    int64 // time of last ACT (for tRC)
+	group    int   // bank-group index
 	rasUntil int64 // earliest PRE after last ACT (tRAS)
 
 	q     []*Request // ring buffer; len(q) is a power of two (or zero)
@@ -69,6 +77,9 @@ type bank struct {
 }
 
 func (b *bank) qPush(r *Request) {
+	if b.qLen == 0 {
+		b.headAt, b.headRow = r.enqueuedAt, r.Loc.Row
+	}
 	if b.qLen == len(b.q) {
 		n := len(b.q) * 2
 		if n == 0 {
@@ -91,6 +102,10 @@ func (b *bank) qPop() *Request {
 	b.q[b.qHead] = nil // release the request reference
 	b.qHead = (b.qHead + 1) & (len(b.q) - 1)
 	b.qLen--
+	if b.qLen > 0 {
+		head := b.q[b.qHead]
+		b.headAt, b.headRow = head.enqueuedAt, head.Loc.Row
+	}
 	return r
 }
 
@@ -112,9 +127,14 @@ type channel struct {
 	writeEnd  int64
 	actTimes  []int64 // ring of last 4 ACTs, for tFAW
 	actIdx    int
-	rrBank    int // rotating scan start so arrival-time ties spread over banks
-	queued    int
+	rrBank    int   // rotating scan start so arrival-time ties spread over banks
 	lastUse   int64 // for idle-channel detection on the logic die
+
+	// queuedOn has bit i set iff banks[i] has queued requests. migBusyTil
+	// is the latest of the groups' migBusyTil: from it on, no bank group is
+	// held by a MIGRATION command.
+	queuedOn   uint64
+	migBusyTil int64
 
 	// degraded marks a channel on a failed channel group: queued and
 	// newly arriving requests still complete (so in-flight state drains and
@@ -161,7 +181,13 @@ type ChannelStats struct {
 type HBM struct {
 	cfg      config.Config
 	channels []*channel // global channel id = stack*ChannelsPerStack + ch
-	perApp   []AppStats
+	// queued counts each channel's queued requests, by global channel id,
+	// and full has bit c set iff channel c's queue is full. Both live
+	// outside the channels so the per-cycle scan for work and the
+	// queue-space checks do not touch the channel structs.
+	queued []int
+	full   []uint64
+	perApp []AppStats
 
 	migs        []*migJob
 	migsDone    []*migJob // scratch
@@ -189,11 +215,18 @@ type AppStats struct {
 	WriteLines uint64
 }
 
-// New builds the memory system. maxApps bounds AppID.
+// New builds the memory system. maxApps bounds AppID. A channel holds at
+// most config.MaxBanksPerChannel banks: the scheduler tracks its non-empty
+// bank queues in one 64-bit mask.
 func New(cfg config.Config, maxApps int) *HBM {
+	if n := cfg.BankGroups * cfg.BanksPerGroup; n > config.MaxBanksPerChannel {
+		panic(fmt.Sprintf("dram: %d banks per channel exceeds %d", n, config.MaxBanksPerChannel))
+	}
 	h := &HBM{
 		cfg:       cfg,
 		channels:  make([]*channel, cfg.NumChannels()),
+		queued:    make([]int, cfg.NumChannels()),
+		full:      make([]uint64, (cfg.NumChannels()+63)/64),
 		perApp:    make([]AppStats, maxApps),
 		crossLink: make([]uint64, cfg.NumStacks),
 		tsvBusy:   make([]int, cfg.NumStacks),
@@ -206,12 +239,14 @@ func New(cfg config.Config, maxApps int) *HBM {
 			lastCAS:  farPast,
 			lastACT:  farPast,
 			writeEnd: farPast,
+
+			migBusyTil: farPast,
 		}
 		for t := range ch.actTimes {
 			ch.actTimes[t] = farPast
 		}
 		for b := range ch.banks {
-			ch.banks[b] = bank{openRow: noRow, actAt: farPast, rasUntil: farPast}
+			ch.banks[b] = bank{openRow: noRow, actAt: farPast, rasUntil: farPast, group: b / cfg.BanksPerGroup}
 		}
 		for g := range ch.groups {
 			ch.groups[g] = group{lastCAS: farPast, lastACT: farPast, writeEnd: farPast, migBusyTil: farPast}
@@ -223,21 +258,30 @@ func New(cfg config.Config, maxApps int) *HBM {
 
 // QueueSpace reports how many more requests the channel can accept.
 func (h *HBM) QueueSpace(globalCh int) int {
-	return h.cfg.QueueEntries - h.channels[globalCh].queued
+	return h.cfg.QueueEntries - h.queued[globalCh]
 }
+
+// FullChannels returns a bitmask, by global channel id, of the channels
+// whose queue is full (QueueSpace 0). It is the HBM's own state: read it,
+// do not modify it.
+func (h *HBM) FullChannels() []uint64 { return h.full }
 
 // Enqueue submits a request. It reports false (and drops the request) if the
 // channel queue is full; the caller must retry later.
 func (h *HBM) Enqueue(cycle uint64, r *Request) bool {
-	ch := h.channels[r.Loc.GlobalChannel(h.cfg.ChannelsPerStack)]
-	if ch.queued >= h.cfg.QueueEntries {
+	gc := r.Loc.GlobalChannel(h.cfg.ChannelsPerStack)
+	ch := h.channels[gc]
+	if h.queued[gc] >= h.cfg.QueueEntries {
 		ch.stats.QueueFull++
 		return false
 	}
 	r.enqueuedAt = cycle
-	b := &ch.banks[r.Loc.BankGroup*h.cfg.BanksPerGroup+r.Loc.Bank]
-	b.qPush(r)
-	ch.queued++
+	bi := r.Loc.BankGroup*h.cfg.BanksPerGroup + r.Loc.Bank
+	ch.banks[bi].qPush(r)
+	ch.queuedOn |= 1 << bi
+	if h.queued[gc]++; h.queued[gc] == h.cfg.QueueEntries {
+		h.full[gc/64] |= 1 << (gc % 64)
+	}
 	h.queuedTotal++
 	ch.lastUse = maxI(ch.lastUse, int64(cycle))
 	return true
@@ -247,9 +291,9 @@ func (h *HBM) Enqueue(cycle uint64, r *Request) bool {
 // most one command, and migration jobs make progress.
 func (h *HBM) Tick(cycle uint64) {
 	if h.queuedTotal > 0 {
-		for gi, ch := range h.channels {
-			if ch.queued > 0 {
-				h.issueOne(cycle, gi, ch)
+		for gi, n := range h.queued {
+			if n > 0 {
+				h.issueOne(cycle, gi, h.channels[gi])
 			}
 		}
 	}
@@ -272,60 +316,72 @@ func (h *HBM) issueOne(cycle uint64, globalCh int, ch *channel) {
 	if ch.busFreeAt > c+window {
 		return
 	}
+	bi := h.pick(c, ch)
+	if bi < 0 {
+		return
+	}
+	b := &ch.banks[bi]
+	ch.rrBank = (bi + 1) % len(ch.banks)
+	finish := h.schedule(cycle, ch, b, b.qFront())
+	r := b.qPop()
+	if b.qLen == 0 {
+		ch.queuedOn &^= 1 << bi
+	}
+	h.queued[globalCh]--
+	h.full[globalCh/64] &^= 1 << (globalCh % 64)
+	h.queuedTotal--
+	h.complete(finish, r)
+}
+
+// pick returns the bank whose head request issueOne serves at cycle c, or
+// -1 when every queued bank's group is held by a MIGRATION command.
+func (h *HBM) pick(c int64, ch *channel) int {
 	// FR-FCFS approximation over bank-queue heads, in priority order:
 	// (1) oldest row hit on a ready bank, (2) oldest request on a bank out
 	// of its tRC/tRAS shadow (its ACT can issue promptly), (3) oldest
-	// request overall (guarantees progress and bounds starvation).
-	var hit, ready, oldest *Request
-	var hitBank, readyBank, oldBank *bank
-	var hitIdx, readyIdx, oldIdx int
+	// request overall (guarantees progress and bounds starvation). Banks are
+	// visited in rotation from rrBank — the non-empty banks at or above it,
+	// then those below — and the first in rotation wins arrival-time ties.
+	hit, ready, oldest := -1, -1, -1
+	var hitAt, readyAt, oldAt uint64
 	tRC := int64(h.cfg.Timing.TRC)
-	nb := len(ch.banks)
-	for k := 0; k < nb; k++ {
-		bi := (ch.rrBank + k) % nb
-		b := &ch.banks[bi]
-		if b.qLen == 0 {
-			continue
-		}
-		// The bank-group data path may be held by a MIGRATION command.
-		if ch.groups[bi/h.cfg.BanksPerGroup].migBusyTil > c {
-			continue
-		}
-		r := b.qFront()
-		if oldest == nil || r.enqueuedAt < oldest.enqueuedAt {
-			oldest, oldBank, oldIdx = r, b, bi
-		}
-		if b.readyAt > c {
-			continue
-		}
-		if b.openRow == r.Loc.Row {
-			if hit == nil || r.enqueuedAt < hit.enqueuedAt {
-				hit, hitBank, hitIdx = r, b, bi
+	migBusy := ch.migBusyTil > c
+	rr := uint(ch.rrBank)
+	for _, m := range [2]uint64{ch.queuedOn >> rr << rr, ch.queuedOn & (1<<rr - 1)} {
+		for ; m != 0; m &= m - 1 {
+			bi := bits.TrailingZeros64(m)
+			b := &ch.banks[bi]
+			// The bank-group data path may be held by a MIGRATION command.
+			if migBusy && ch.groups[b.group].migBusyTil > c {
+				continue
 			}
-			continue
-		}
-		if b.actAt+tRC <= c {
-			if ready == nil || r.enqueuedAt < ready.enqueuedAt {
-				ready, readyBank, readyIdx = r, b, bi
+			at := b.headAt
+			if oldest < 0 || at < oldAt {
+				oldest, oldAt = bi, at
+			}
+			if b.readyAt > c {
+				continue
+			}
+			if b.openRow == b.headRow {
+				if hit < 0 || at < hitAt {
+					hit, hitAt = bi, at
+				}
+				continue
+			}
+			if b.actAt+tRC <= c {
+				if ready < 0 || at < readyAt {
+					ready, readyAt = bi, at
+				}
 			}
 		}
 	}
-	r, b, bi := hit, hitBank, hitIdx
-	if r == nil {
-		r, b, bi = ready, readyBank, readyIdx
+	switch {
+	case hit >= 0:
+		return hit
+	case ready >= 0:
+		return ready
 	}
-	if r == nil {
-		r, b, bi = oldest, oldBank, oldIdx
-	}
-	if r == nil {
-		return
-	}
-	ch.rrBank = (bi + 1) % nb
-	finish := h.schedule(cycle, ch, b, r)
-	b.qPop()
-	ch.queued--
-	h.queuedTotal--
-	h.complete(finish, r)
+	return oldest
 }
 
 // schedule computes the completion time of a request on its bank,
@@ -473,8 +529,8 @@ func (h *HBM) NextActivity(cycle uint64) (uint64, bool) {
 	t := h.cfg.Timing
 	window := int64(t.TRP + t.TRCD + t.TCL + 8*h.cfg.BurstCycles)
 	next := ^uint64(0)
-	for _, ch := range h.channels {
-		if ch.queued == 0 {
+	for gi, ch := range h.channels {
+		if h.queued[gi] == 0 {
 			continue
 		}
 		if ch.busFreeAt <= c+window {

@@ -245,6 +245,8 @@ func (h *HBM) tryIssueMigration(cycle uint64, l *migLine) bool {
 	}
 	sb.readyAt, db.readyAt = end, end
 	sg.migBusyTil, dg.migBusyTil = end, end
+	srcCh.migBusyTil = maxI(srcCh.migBusyTil, end)
+	dstCh.migBusyTil = maxI(dstCh.migBusyTil, end)
 	srcCh.stats.Migrations++
 	return true
 }

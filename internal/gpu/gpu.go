@@ -248,10 +248,12 @@ type GPU struct {
 	onWalkDone   func(cycle uint64, key uint64)
 
 	// parkedTotal/toDramTotal count requests parked across all LLC slices
-	// (on a full MSHR / on a full HBM queue); toDramTotal lets retrySlices
-	// skip its scan when nothing is waiting.
+	// (on a full MSHR / on a full HBM queue). spilled has bit c set iff a
+	// slice of channel c has a non-empty toDram, so retrySlices visits only
+	// those channels, and of them only the ones with queue space.
 	parkedTotal int
 	toDramTotal int
+	spilled     []uint64
 
 	// Migration orchestration.
 	migInFlight map[uint64]bool
@@ -470,6 +472,7 @@ func New(cfg config.Config, specs []AppSpec, opt Options) (*GPU, error) {
 		reqNet:        noc.New(cfg.NumSMs, cfg.LLCSlices, cfg.NoCLinkBytes, cfg.NoCLatency),
 		rspNet:        noc.New(cfg.LLCSlices, cfg.NumSMs, cfg.NoCLinkBytes, cfg.NoCLatency),
 		slices:        make([]*llcSlice, cfg.LLCSlices),
+		spilled:       make([]uint64, (cfg.NumChannels()+63)/64),
 		hbm:           dram.New(cfg, MaxApps),
 		vmm:           vm.NewManager(cfg, mapper, len(specs)),
 		transPending:  make(map[uint64][]migWaiter),

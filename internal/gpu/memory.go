@@ -6,6 +6,7 @@ package gpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ugpu/internal/dram"
 	"ugpu/internal/sm"
@@ -186,6 +187,8 @@ func (g *GPU) llcToDram(at uint64, sliceIdx int, req *memReq) {
 	if !g.hbm.Enqueue(at, dreq) {
 		g.slices[sliceIdx].toDram = append(g.slices[sliceIdx].toDram, dreq)
 		g.toDramTotal++
+		ch := sliceIdx / g.slicesPerCh
+		g.spilled[ch/64] |= 1 << (ch % 64)
 	}
 }
 
@@ -288,31 +291,43 @@ func (g *GPU) l1AccessAsyncNoPark(cycle uint64, smID int, r replayReq) {
 	}
 }
 
-// retrySlices re-offers LLC misses the HBM queues turned away, each cycle.
-// The idle fast path skips the 64-slice scan entirely when nothing waits.
-// Requests parked on a full LLC MSHR are not polled here: only a fill can
-// free the entry they wait for, and dramFill drains them (drainParked).
+// retrySlices re-offers LLC misses the HBM queues turned away, each cycle,
+// slice by slice in ascending order. A slice's requests all map to its own
+// channel, so only channels that have a spilled slice and queue space are
+// visited; enqueuing never changes another channel's space. Requests parked
+// on a full LLC MSHR are not polled here: only a fill can free the entry
+// they wait for, and dramFill drains them (drainParked).
 func (g *GPU) retrySlices(cycle uint64) {
 	if g.toDramTotal == 0 {
 		return
 	}
 	spc := g.slicesPerCh
-	for idx, sl := range g.slices {
-		if len(sl.toDram) > 0 && g.hbm.QueueSpace(idx/spc) > 0 {
-			n := 0
-			for ; n < len(sl.toDram); n++ {
-				if !g.hbm.Enqueue(cycle, sl.toDram[n]) {
-					break
+	full := g.hbm.FullChannels()
+	for wi, m := range g.spilled {
+		for m &^= full[wi]; m != 0; m &= m - 1 {
+			ch := wi*64 + bits.TrailingZeros64(m)
+			left := 0
+			for idx := ch * spc; idx < (ch+1)*spc; idx++ {
+				sl := g.slices[idx]
+				if len(sl.toDram) > 0 && g.hbm.QueueSpace(ch) > 0 {
+					n := 0
+					for ; n < len(sl.toDram); n++ {
+						if !g.hbm.Enqueue(cycle, sl.toDram[n]) {
+							break
+						}
+					}
+					tail := len(sl.toDram) - n
+					copy(sl.toDram, sl.toDram[n:])
+					for i := tail; i < len(sl.toDram); i++ {
+						sl.toDram[i] = nil
+					}
+					sl.toDram = sl.toDram[:tail]
+					g.toDramTotal -= n
 				}
+				left += len(sl.toDram)
 			}
-			if n > 0 {
-				tail := len(sl.toDram) - n
-				copy(sl.toDram, sl.toDram[n:])
-				for i := tail; i < len(sl.toDram); i++ {
-					sl.toDram[i] = nil
-				}
-				sl.toDram = sl.toDram[:tail]
-				g.toDramTotal -= n
+			if left == 0 {
+				g.spilled[wi] &^= 1 << (ch % 64)
 			}
 		}
 	}

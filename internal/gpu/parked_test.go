@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"ugpu/internal/dram"
 )
 
 // fillSliceMSHR allocates fresh lines (far above any simulated address) in
@@ -64,6 +66,58 @@ func TestCheckInvariantsParkedLLC(t *testing.T) {
 	expect(g, "parkedTotal")
 }
 
+// spillTo queues a request for pa on its slice's spill queue, keeping the
+// channel mark and toDramTotal in step, and returns the slice.
+func spillTo(g *GPU, pa uint64) int {
+	slice := g.sliceOf(pa)
+	sl := g.slices[slice]
+	sl.toDram = append(sl.toDram, &dram.Request{Addr: pa, Loc: g.mapper.Decode(pa)})
+	g.toDramTotal++
+	ch := slice / g.slicesPerCh
+	g.spilled[ch/64] |= 1 << (ch % 64)
+	return slice
+}
+
+// TestCheckInvariantsSpill breaks each condition of the spill invariant in
+// turn and checks the error names it.
+func TestCheckInvariantsSpill(t *testing.T) {
+	expect := func(g *GPU, want string) {
+		t.Helper()
+		var inv *InvariantError
+		err := g.CheckInvariants()
+		if !errors.As(err, &inv) || inv.Name != "llc-spill" || !strings.Contains(inv.Detail, want) {
+			t.Errorf("CheckInvariants = %v, want llc-spill naming %q", err, want)
+		}
+	}
+	g := evenSplit(t, "SRAD", "DXTC")
+	spillTo(g, 0x1000)
+	spillTo(g, 0x1000+128)
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatalf("legal spill state: %v", err)
+	}
+
+	// The channel mark cleared while a request waits.
+	c := g.sliceOf(0x1000) / g.slicesPerCh
+	g.spilled[c/64] &^= 1 << (c % 64)
+	expect(g, "mark")
+
+	// toDramTotal out of step with the slices' queues.
+	g = evenSplit(t, "SRAD", "DXTC")
+	spillTo(g, 0x1000)
+	g.toDramTotal++
+	expect(g, "toDramTotal")
+
+	// A request on a slice of another channel (marks moved along).
+	g = evenSplit(t, "SRAD", "DXTC")
+	slice := spillTo(g, 0x1000)
+	other := (slice + g.slicesPerCh) % len(g.slices)
+	g.slices[other].toDram, g.slices[slice].toDram = g.slices[slice].toDram, nil
+	ch, och := slice/g.slicesPerCh, other/g.slicesPerCh
+	g.spilled[ch/64] &^= 1 << (ch % 64)
+	g.spilled[och/64] |= 1 << (och % 64)
+	expect(g, "not its own")
+}
+
 // TestParkedLLCInvariantUnderPressure shrinks the LLC MSHRs so requests
 // park often, and audits the machine every few cycles: whenever anything is
 // parked, the parked-request invariant holds, so a per-cycle retry could
@@ -91,5 +145,33 @@ func TestParkedLLCInvariantUnderPressure(t *testing.T) {
 	t.Logf("%d of 300 audits saw parked requests", sawParked)
 	if sawParked == 0 {
 		t.Fatal("no request ever parked; the test exercises nothing")
+	}
+}
+
+// TestSpillInvariantUnderPressure runs two memory-bound apps, whose LLC
+// misses often find their HBM channel queue full, and audits the machine
+// every few cycles: whenever requests are spilled, the spill invariant
+// holds, so retrySlices' per-channel marks are exact.
+func TestSpillInvariantUnderPressure(t *testing.T) {
+	g, err := New(testConfig(), []AppSpec{
+		{Bench: bench(t, "PVC"), SMs: 40, Groups: []int{0, 1, 2, 3}},
+		{Bench: bench(t, "LBM"), SMs: 40, Groups: []int{4, 5, 6, 7}},
+	}, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawSpilled := 0
+	for i := 0; i < 300; i++ {
+		g.Run(37)
+		if g.toDramTotal > 0 {
+			sawSpilled++
+		}
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatalf("cycle %d: %v", g.cycle, err)
+		}
+	}
+	t.Logf("%d of 300 audits saw spilled requests", sawSpilled)
+	if sawSpilled == 0 {
+		t.Fatal("no request ever spilled; the test exercises nothing")
 	}
 }

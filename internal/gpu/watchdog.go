@@ -367,5 +367,32 @@ func (g *GPU) CheckInvariants() error {
 	if parked != g.parkedTotal {
 		return &InvariantError{"llc-parked", fmt.Sprintf("parkedTotal %d != %d requests parked across slices", g.parkedTotal, parked)}
 	}
+
+	// 8. LLC->DRAM spills: a slice spills only requests for its own channel
+	// (retrySlices skips a channel whose queue is full), spilled marks
+	// exactly the channels with a spilled request, and toDramTotal sums them.
+	spilled := 0
+	for idx, sl := range g.slices {
+		ch := idx / g.slicesPerCh
+		for _, r := range sl.toDram {
+			if gc := r.Loc.GlobalChannel(g.cfg.ChannelsPerStack); gc != ch {
+				return &InvariantError{"llc-spill", fmt.Sprintf("slice %d spills a request for channel %d, not its own %d", idx, gc, ch)}
+			}
+		}
+		spilled += len(sl.toDram)
+		if (idx+1)%g.slicesPerCh != 0 {
+			continue
+		}
+		n := 0
+		for _, s := range g.slices[idx+1-g.slicesPerCh : idx+1] {
+			n += len(s.toDram)
+		}
+		if marked := g.spilled[ch/64]>>(ch%64)&1 == 1; marked != (n > 0) {
+			return &InvariantError{"llc-spill", fmt.Sprintf("channel %d spill mark is %v with %d spilled requests", ch, marked, n)}
+		}
+	}
+	if spilled != g.toDramTotal {
+		return &InvariantError{"llc-spill", fmt.Sprintf("toDramTotal %d != %d requests spilled across slices", g.toDramTotal, spilled)}
+	}
 	return nil
 }

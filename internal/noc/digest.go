@@ -1,12 +1,17 @@
 package noc
 
-// State digests (ISSUE 9). Port free times digest in index order; in-flight
+// State digests. Port free times digest in index order; in-flight
 // deliveries fold as an unordered multiset over (arrival, seq, callback
-// presence, argument content) — heap layout is an implementation detail.
+// presence, argument content) — whether a message sits in a calendar bucket
+// or a heap is an implementation detail. The walk is in place, with no copy.
 // Message arguments are opaque `any` values, so the caller supplies the
 // argument hasher (nil hashes only presence).
 
-import "ugpu/internal/digest"
+import (
+	"math/bits"
+
+	"ugpu/internal/digest"
+)
 
 // AppendDigest folds the crossbar's port, in-flight, and counter state.
 func (x *Crossbar) AppendDigest(h digest.Hash, hashArg func(any) digest.Hash) digest.Hash {
@@ -18,15 +23,29 @@ func (x *Crossbar) AppendDigest(h digest.Hash, hashArg func(any) digest.Hash) di
 		h = h.U64(at)
 	}
 	var acc digest.Acc
-	for _, d := range x.pending {
-		dh := digest.New().U64(d.at).U64(d.seq).Bool(d.fn != nil).Bool(d.tfn != nil)
-		if d.arg != nil && hashArg != nil {
-			dh = dh.Bool(true).U64(uint64(hashArg(d.arg)))
-		} else {
-			dh = dh.Bool(d.arg != nil)
+	q := &x.pending
+	for w, m := range q.occupied {
+		for ; m != 0; m &= m - 1 {
+			b := q.buckets[w*64+bits.TrailingZeros64(m)]
+			for i := b.head; i != 0; i = q.nodes[i].next {
+				acc.Add(deliveryHash(&q.nodes[i].d, hashArg))
+			}
 		}
-		acc.Add(dh)
+	}
+	for i := range q.overflow {
+		acc.Add(deliveryHash(&q.overflow[i], hashArg))
+	}
+	for i := range q.late {
+		acc.Add(deliveryHash(&q.late[i], hashArg))
 	}
 	st := x.stats
 	return h.Acc(acc).U64(st.Messages).U64(st.Bytes).U64(st.Drops)
+}
+
+func deliveryHash(d *delivery, hashArg func(any) digest.Hash) digest.Hash {
+	dh := digest.New().U64(d.at).U64(d.seq).Bool(d.fn != nil).Bool(d.tfn != nil)
+	if d.arg != nil && hashArg != nil {
+		return dh.Bool(true).U64(uint64(hashArg(d.arg)))
+	}
+	return dh.Bool(d.arg != nil)
 }

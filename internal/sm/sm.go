@@ -15,6 +15,7 @@ package sm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ugpu/internal/digest"
 	"ugpu/internal/trace"
@@ -74,27 +75,38 @@ type App struct {
 	SeedBase uint64
 }
 
-// Warp is one resident warp.
+// MaxWarps bounds the resident warps per SM: the scheduler's ready set is
+// one 64-bit mask indexed by age position.
+const MaxWarps = 64
+
+// Warp is one resident warp. The fields issue, drainPending and LoadDone
+// read come first, so they share the object's first cache line; the
+// instruction stream is stored inline after them.
 type Warp struct {
-	Stream      *workload.WarpStream
 	Outstanding int
 	MaxOut      int
+	sm          *SM
+	pending     []uint64 // generated but not-yet-accepted load addresses
+	blocked     bool
+	structStall bool // blocked on a structural hazard (queued in sm retry list)
+	done        bool
 
-	// LastVPN/LastPA form a one-entry per-warp translation filter the gpu
-	// package uses to shortcut consecutive same-page accesses. LastVer must
-	// match the GPU's global translation version (bumped on any page
-	// migration or reallocation) for the entry to be used.
-	LastVPN   uint64
-	LastPA    uint64
-	LastVer   uint64
+	// LastValid/LastVPN/LastPA/LastVer form a one-entry per-warp
+	// translation filter the gpu package uses to shortcut consecutive
+	// same-page accesses. LastVer must match the GPU's global translation
+	// version (bumped on any page migration or reallocation) for the entry
+	// to be used. LastValid sits with the flags above to share their word.
 	LastValid bool
 
-	sm          *SM
-	tb          int // TB slot index
-	blocked     bool
-	structStall bool     // blocked on a structural hazard (queued in sm retry list)
-	pending     []uint64 // generated but not-yet-accepted load addresses
-	done        bool
+	tb  int32  // TB slot index
+	idx int32  // position in sm.warps (its bit in sm.ready)
+	gen uint64 // sm.gen at launch; a mismatch marks an orphan
+
+	LastVPN uint64
+	LastPA  uint64
+	LastVer uint64
+
+	Stream workload.WarpStream
 
 	// Snapshot memo for StandaloneDigest (observation state, not digested).
 	digestGen  uint64
@@ -118,13 +130,21 @@ func (w *Warp) block() {
 	if !w.blocked {
 		w.blocked = true
 		w.sm.unready++
+		w.sm.ready &^= 1 << w.idx
 	}
 }
 
+// unblock makes a blocked warp schedulable again. Orphans (warps dropped by
+// a context switch, release or failure, whose loads still drain) keep
+// touching the counter and the wake hook as they always have, but never the
+// ready mask: their positions belong to the SM's next tenant.
 func (w *Warp) unblock() {
 	if w.blocked {
 		w.blocked = false
 		w.sm.unready--
+		if !w.done && w.gen == w.sm.gen {
+			w.sm.ready |= 1 << w.idx
+		}
 		if w.sm.Wake != nil {
 			w.sm.Wake(w.sm)
 		}
@@ -150,7 +170,30 @@ type tbSlot struct {
 
 // SM is one streaming multiprocessor.
 type SM struct {
+	// The state a tick reads comes first, in the object's first lines.
+	state      State
+	schedulers int
+	ready      uint64  // bit i set iff warps[i] is neither done nor blocked
+	current    int     // greedy scheduler position (index into warps)
+	cur        *Warp   // warps[current], or nil until pickWarp reloads it
+	warps      []*Warp // age-ordered resident warps
+	app        *App
+
 	ID int
+
+	addrBuf []uint64
+	retry   []*Warp // warps with structurally-rejected loads to replay
+	stats   Stats
+
+	// gen numbers resident-warp generations: every drop of the warp list
+	// (assign, switch, free, fail) bumps it, orphaning the warps of the
+	// previous generation, which then no longer touch ready.
+	gen uint64
+	// unready counts blocked or done warps. It is not exact: a warp that
+	// blocks on its last instruction is uncounted by its later completion,
+	// and orphans' completions decrement the next tenant's count. It folds
+	// into the state digest, so it is kept as is; scheduling reads ready.
+	unready int
 
 	// Trace receives lifecycle events (assign/release/fail); nil disables.
 	Trace *trace.Tracer
@@ -167,15 +210,6 @@ type SM struct {
 
 	warpsPerTB int
 	tbSlots    []tbSlot
-	schedulers int
-
-	app   *App
-	state State
-
-	warps   []*Warp // age-ordered resident warps
-	current int     // greedy scheduler position (index into warps)
-	unready int     // warps blocked or done, for O(1) "nothing ready" checks
-	retry   []*Warp // warps with structurally-rejected loads to replay
 
 	switchUntil uint64
 	onFree      func(cycle uint64, s *SM) // drain/switch completion callback
@@ -190,13 +224,14 @@ type SM struct {
 	// recycled only once nothing downstream can still reference it: done,
 	// zero outstanding loads, and no pending addresses.
 	freeWarps []*Warp
-
-	stats   Stats
-	addrBuf []uint64
 }
 
-// New builds an SM with the given geometry.
+// New builds an SM with the given geometry; it holds at most MaxWarps
+// warps.
 func New(id, tbsPerSM, warpsPerTB, schedulers int) *SM {
+	if tbsPerSM*warpsPerTB > MaxWarps {
+		panic(fmt.Sprintf("sm: %d warps per SM exceeds %d", tbsPerSM*warpsPerTB, MaxWarps))
+	}
 	return &SM{
 		ID:         id,
 		warpsPerTB: warpsPerTB,
@@ -239,9 +274,7 @@ func (s *SM) Fail(cycle uint64) {
 	s.state = Failed
 	s.app = nil
 	s.onFree = nil
-	s.warps = s.warps[:0]
-	s.retry = s.retry[:0]
-	s.unready = 0
+	s.dropWarps()
 	s.current = 0
 	for i := range s.tbSlots {
 		s.tbSlots[i] = tbSlot{}
@@ -298,10 +331,8 @@ func (s *SM) Assign(cycle uint64, app *App) {
 	s.Trace.Emit(trace.KSMAssign, cycle, int32(app.ID), int32(s.ID), 0, 0, 0)
 	s.app = app
 	s.state = Active
-	s.warps = s.warps[:0]
-	s.retry = s.retry[:0]
+	s.dropWarps()
 	s.current = 0
-	s.unready = 0
 	for i := range s.tbSlots {
 		s.fillTB(cycle, i)
 	}
@@ -310,19 +341,30 @@ func (s *SM) Assign(cycle uint64, app *App) {
 	}
 }
 
-// newWarp pops a recycled warp (keeping its WarpStream and pending-address
-// backing array) or allocates a fresh one.
+// dropWarps empties the resident-warp list and retry list and starts a new
+// warp generation. The dropped warps become orphans: their in-flight loads
+// still complete into them, but they no longer reach the ready mask.
+func (s *SM) dropWarps() {
+	s.warps = s.warps[:0]
+	s.cur = nil
+	s.retry = s.retry[:0]
+	s.unready = 0
+	s.ready = 0
+	s.gen++
+}
+
+// newWarp pops a recycled warp (keeping its pending-address backing array)
+// or allocates a fresh one. fillTB reinitialises the embedded stream.
 func (s *SM) newWarp() *Warp {
 	if n := len(s.freeWarps); n > 0 {
 		w := s.freeWarps[n-1]
 		s.freeWarps[n-1] = nil
 		s.freeWarps = s.freeWarps[:n-1]
-		stream := w.Stream
 		pending := w.pending[:0]
-		*w = Warp{Stream: stream, pending: pending}
+		*w = Warp{pending: pending}
 		return w
 	}
-	return &Warp{Stream: new(workload.WarpStream)}
+	return new(Warp)
 }
 
 func (s *SM) fillTB(cycle uint64, slot int) {
@@ -337,12 +379,15 @@ func (s *SM) fillTB(cycle uint64, slot int) {
 	for wi := range slotWarps {
 		seed := app.SeedBase ^ uint64(s.ID)<<40 ^ uint64(tb.Launch)<<28 ^ uint64(tb.TBIndex)<<8 ^ uint64(wi) + 1
 		w := s.newWarp()
-		app.Dispatcher.InitWarpStream(w.Stream, tb, wi, app.PageBytes, seed)
+		app.Dispatcher.InitWarpStream(&w.Stream, tb, wi, app.PageBytes, seed)
 		w.MaxOut = tb.Kernel.MaxOutstanding
 		w.sm = s
-		w.tb = slot
+		w.tb = int32(slot)
+		w.idx = int32(len(s.warps))
+		w.gen = s.gen
 		slotWarps[wi] = w
 		s.warps = append(s.warps, w)
+		s.ready |= 1 << w.idx
 	}
 	s.tbSlots[slot] = tbSlot{warps: slotWarps, liveWarp: s.warpsPerTB, valid: true}
 	s.tbStart[slot] = cycle
@@ -372,9 +417,7 @@ func (s *SM) BeginSwitch(cycle, readyAt uint64, onFree func(cycle uint64, s *SM)
 	s.switchUntil = readyAt
 	// Drop resident warps: their context is saved and will resume when the
 	// application next gets this SM (modelled as re-dispatching TBs).
-	s.warps = s.warps[:0]
-	s.retry = s.retry[:0]
-	s.unready = 0
+	s.dropWarps()
 	for i := range s.tbSlots {
 		s.tbSlots[i] = tbSlot{}
 	}
@@ -396,9 +439,7 @@ func (s *SM) residentWarps() int {
 func (s *SM) finishFree(cycle uint64) {
 	s.state = Idle
 	s.app = nil
-	s.warps = s.warps[:0]
-	s.retry = s.retry[:0]
-	s.unready = 0
+	s.dropWarps()
 	for i := range s.tbSlots {
 		s.tbSlots[i] = tbSlot{}
 	}
@@ -437,26 +478,20 @@ func (s *SM) Tick(cycle uint64, port Port) {
 }
 
 // pickWarp implements GTO: stay on the current warp while it is ready;
-// otherwise take the oldest ready warp. The unready counter makes the
-// all-stalled case O(1), which dominates in memory-bound phases.
+// otherwise take the oldest ready warp — the lowest set bit of the ready
+// mask, since warps are age-ordered.
 func (s *SM) pickWarp() *Warp {
-	n := len(s.warps)
-	if n == 0 || s.unready >= n {
-		return nil
-	}
-	if s.current < n {
-		if w := s.warps[s.current]; !w.done && !w.blocked {
-			return w
+	if s.ready>>uint(s.current)&1 == 0 {
+		if s.ready == 0 {
+			return nil
 		}
+		s.current = bits.TrailingZeros64(s.ready)
+		s.cur = nil
 	}
-	for i := 0; i < n; i++ {
-		w := s.warps[i]
-		if !w.done && !w.blocked {
-			s.current = i
-			return w
-		}
+	if s.cur == nil {
+		s.cur = s.warps[s.current]
 	}
-	return nil
+	return s.cur
 }
 
 // issue runs one warp instruction (or retries its pending loads). It
@@ -480,6 +515,7 @@ func (s *SM) issue(cycle uint64, w *Warp, port Port) bool {
 	}
 	if w.Stream.Done() {
 		w.done = true
+		s.ready &^= 1 << w.idx
 		if !w.blocked {
 			s.unready++ // done warps are permanently unready
 		}
@@ -569,7 +605,7 @@ func (s *SM) completeWarp(cycle uint64, w *Warp) {
 	s.compactWarps()
 	switch s.state {
 	case Active:
-		s.fillTB(cycle, w.tb)
+		s.fillTB(cycle, int(w.tb))
 	case Draining:
 		if s.residentWarps() == 0 {
 			s.finishFree(cycle)
@@ -578,13 +614,15 @@ func (s *SM) completeWarp(cycle uint64, w *Warp) {
 }
 
 // compactWarps removes completed warps from the age list and recomputes the
-// unready counter. Completed warps that nothing downstream can still
-// reference — no outstanding loads (which covers in-flight fills, MSHR
-// waiters, and merged translations) and no pending addresses (which covers
-// the structural-retry list) — are recycled into the warp freelist.
+// unready counter and the ready mask. Completed warps that nothing
+// downstream can still reference — no outstanding loads (which covers
+// in-flight fills, MSHR waiters, and merged translations) and no pending
+// addresses (which covers the structural-retry list) — are recycled into
+// the warp freelist.
 func (s *SM) compactWarps() {
 	live := s.warps[:0]
 	unready := 0
+	var ready uint64
 	for _, w := range s.warps {
 		if w.done {
 			if w.Outstanding == 0 && len(w.pending) == 0 {
@@ -592,9 +630,12 @@ func (s *SM) compactWarps() {
 			}
 			continue
 		}
+		w.idx = int32(len(live))
 		live = append(live, w)
 		if w.blocked {
 			unready++
+		} else {
+			ready |= 1 << w.idx
 		}
 	}
 	tail := s.warps[len(live):]
@@ -602,7 +643,9 @@ func (s *SM) compactWarps() {
 		tail[i] = nil
 	}
 	s.warps = live
+	s.cur = nil
 	s.unready = unready
+	s.ready = ready
 	if s.current >= len(s.warps) {
 		s.current = 0
 	}
@@ -615,7 +658,7 @@ func (s *SM) ResidentWarps() int { return s.residentWarps() }
 // O(1) check pickWarp uses. While false (and the retry list is empty and the
 // state does not change), Tick only accrues one active and one stall cycle,
 // which AccrueStall can replicate in closed form.
-func (s *SM) CanIssue() bool { return len(s.warps) > 0 && s.unready < len(s.warps) }
+func (s *SM) CanIssue() bool { return s.ready != 0 }
 
 // RetryLen reports warps parked on the structural-retry list.
 func (s *SM) RetryLen() int { return len(s.retry) }

@@ -95,29 +95,30 @@ func (d *Dispatcher) hotSpan(k *Kernel) uint64 {
 	return h
 }
 
-// WarpStream generates one warp's instruction stream.
+// WarpStream generates one warp's instruction stream. The fields every
+// instruction reads (the RNG, the issue count and quota, the memory
+// threshold) come first.
 type WarpStream struct {
-	kernel *Kernel
+	rng    uint64
+	issued int
+	quota  int
 
 	memThresh uint32 // MemFraction in fixed point
 	hotThresh uint32 // HotProb in fixed point
 
+	diverge   int
+	modeHot   bool
+	modeLeft  int
+	hotRun    int    // hot accesses per burst (0 = never hot)
+	streamRun int    // streaming accesses per burst
 	cursor    uint64 // streaming byte cursor within the footprint
+	stride    uint64
 	footBytes uint64
 	hotBytes  uint64
 	pageBytes uint64
 	hotPage   uint64 // current clustered hot page base
-	hotRun    int    // hot accesses per burst (0 = never hot)
-	streamRun int    // streaming accesses per burst
-	modeHot   bool
-	modeLeft  int
-	stride    uint64
-	diverge   int
 
-	issued int
-	quota  int
-
-	rng uint64
+	kernel *Kernel
 
 	// immHash is the digest of every field above that never changes after
 	// InitWarpStream (kernel parameters, thresholds, geometry). Caching it
