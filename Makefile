@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race bench bench-once vet check cover smoke bench-check experiments bench-json clean
+.PHONY: all build test short race bench bench-once vet check cover smoke bench-check experiments clean
 
 all: check
 
@@ -29,8 +29,8 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
-## bench-once: every Go benchmark for one iteration (~30 s), so a benchmark
-## that no longer builds or runs fails the gate
+## bench-once: every Go benchmark for one iteration (~20-25 s on 2 cores with a
+## warm build cache), so a benchmark that no longer builds or runs fails the gate
 bench-once:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
@@ -80,10 +80,6 @@ bench-check:
 ## experiments: regenerate every figure at the recorded scale
 experiments:
 	$(GO) run ./cmd/experiments -fig all -cycles 150000 -epoch 25000 -mixes 3 -v
-
-## bench-json: regenerate the serial-vs-parallel benchmark artifact
-bench-json:
-	$(GO) run ./cmd/experiments -bench-json BENCH_parallel.json -cycles 60000 -epoch 20000 -mixes 3
 
 clean:
 	$(GO) clean ./...

@@ -254,22 +254,3 @@ func BenchmarkPageSizeSensitivity(b *testing.B) {
 		b.ReportMetric(value(fig, 0, 2), "gain16KB")
 	}
 }
-
-// BenchmarkSimulatorThroughput measures raw simulation speed (cycles/sec)
-// for the canonical heterogeneous pair — the cost of everything else here.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	cfg := ugpu.DefaultConfig()
-	cfg.MaxCycles = 50_000
-	cfg.EpochCycles = 25_000
-	mix, err := ugpu.MixOf("PVC", "DXTC")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ugpu.Run(cfg, ugpu.NewBP(), mix); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(cfg.MaxCycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
-}

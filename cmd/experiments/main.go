@@ -11,7 +11,7 @@
 //	            [-power-cap W] [-dvfs=false] [-no-fastforward]
 //	            [-digest] [-digest-every N] [-bisect A,B]
 //	            [-trace] [-trace-out path] [-trace-filter spec] [-pprof prefix]
-//	            [-bench-json path] [-v]
+//	            [-v]
 //
 // Every figure is a sweep of independent simulations fanned out through
 // internal/parallel; -parallel bounds the worker pool (0 = GOMAXPROCS,
@@ -36,9 +36,9 @@
 // the first divergent epoch, then replays that epoch to name the first
 // divergent component and cycle.
 //
-// -bench-json runs the selected figures twice (serial, then parallel),
-// records wall-clock, allocation counts, and the hot-path micro-benchmark,
-// and writes the comparison as JSON (see BENCH_parallel.json).
+// -fig takes a comma-separated list of figure ids, or all; an unknown or
+// empty id is a usage error (exit 2) before any figure runs. Selected
+// figures run once each, in the order of the list above.
 //
 // Results reproduce the paper's shapes, not absolute numbers; see
 // EXPERIMENTS.md for the recorded comparison.
@@ -51,6 +51,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -74,8 +75,7 @@ type gen struct {
 	run func() (experiments.Figure, error)
 }
 
-// gensFor binds every figure generator to the given options. Bindings
-// capture opt by value, so serial and parallel variants coexist.
+// gensFor binds every figure generator to the given options.
 func gensFor(opt experiments.Options) []gen {
 	return []gen{
 		{"table2", opt.Table2Profiles},
@@ -110,14 +110,32 @@ func figureIDs() []string {
 	return ids
 }
 
-// generatorFor returns the generator for one figure id under opt.
-func generatorFor(opt experiments.Options, id string) (func() (experiments.Figure, error), bool) {
-	for _, g := range gensFor(opt) {
-		if g.id == id {
-			return g.run, true
+// selectGens resolves a -fig spec (comma-separated ids, or "all") to the
+// generators to run, in gensFor order and each once. Every token must name
+// a figure: an unknown or empty one (as in "micro,bogus" or "micro,") is an
+// error naming the valid ids, so a typo never silently drops a figure.
+func selectGens(opt experiments.Options, spec string) ([]gen, error) {
+	ids := figureIDs()
+	want := map[string]bool{}
+	for _, tok := range strings.Split(spec, ",") {
+		id := strings.TrimSpace(strings.ToLower(tok))
+		if id != "all" && !slices.Contains(ids, id) {
+			return nil, fmt.Errorf("unknown figure id %q in -fig %q (valid: %s, or all)",
+				id, spec, strings.Join(ids, ", "))
+		}
+		want[id] = true
+	}
+	all := gensFor(opt)
+	if want["all"] {
+		return all, nil
+	}
+	var sel []gen
+	for _, g := range all {
+		if want[g.id] {
+			sel = append(sel, g)
 		}
 	}
-	return nil, false
+	return sel, nil
 }
 
 func main() {
@@ -149,7 +167,6 @@ func main() {
 		digestEvery = flag.Int("digest-every", 0, "record a state digest every N epochs (implies -digest; 0 with -digest means every epoch)")
 		bisect      = flag.String("bisect", "", "localize a state divergence between two mode arms, e.g. \"ff,noff\" or \"ff+trace,noff\" (tokens: ff, noff, trace, notrace)")
 		pprofPrefix = flag.String("pprof", "", "write <prefix>.cpu.pprof and <prefix>.mem.pprof runtime profiles")
-		benchJSON   = flag.String("bench-json", "", "write a serial-vs-parallel benchmark report to this path and exit")
 		verbose     = flag.Bool("v", false, "log per-run progress")
 	)
 	flag.Parse()
@@ -236,6 +253,12 @@ func main() {
 		opt.TraceOut = &traceBuf
 	}
 
+	gens, err := selectGens(opt, *fig)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		os.Exit(2)
+	}
+
 	// Profiling: CPU from here to finish(); heap snapshot at finish().
 	if *pprofPrefix != "" {
 		cf, err := os.Create(*pprofPrefix + ".cpu.pprof")
@@ -288,36 +311,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "trace written to %s\n", tracePath)
 	}
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*fig, ",") {
-		want[strings.TrimSpace(strings.ToLower(id))] = true
-	}
-
-	if *benchJSON != "" {
-		// Benchmark mode defaults to the Figure 10 and 14 sweeps (the golden
-		// determinism pair) unless -fig picks a specific set.
-		ids := []string{"10", "14"}
-		if !want["all"] {
-			ids = ids[:0]
-			for _, g := range gensFor(opt) {
-				if want[g.id] {
-					ids = append(ids, g.id)
-				}
-			}
-		}
-		if err := runBench(opt, ids, *parallelN, *benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		finish()
-		return
-	}
-
-	ran := 0
-	for _, g := range gensFor(opt) {
-		if !want["all"] && !want[g.id] {
-			continue
-		}
+	for _, g := range gens {
 		start := time.Now()
 		f, err := g.run()
 		if err != nil {
@@ -328,12 +322,6 @@ func main() {
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "[%s done in %v]\n", g.id, time.Since(start).Round(time.Millisecond))
 		}
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown figure id %q (valid: %s, or all)\n",
-			*fig, strings.Join(figureIDs(), ", "))
-		os.Exit(2)
 	}
 	finish()
 }

@@ -32,17 +32,49 @@ func TestFigureIDs(t *testing.T) {
 	}
 }
 
-// TestGeneratorFor checks the lookup both ways: every listed id resolves,
-// and a bogus id does not (main exits 2 with the valid list in that case).
-func TestGeneratorFor(t *testing.T) {
+// TestSelectGens pins -fig resolution: "all" selects every figure, a list
+// runs in gensFor order with duplicates folded, and any unknown or empty
+// token rejects the whole spec (main exits 2 with the valid list) instead of
+// being dropped.
+func TestSelectGens(t *testing.T) {
 	opt := experiments.Default()
-	for _, id := range figureIDs() {
-		if _, ok := generatorFor(opt, id); !ok {
-			t.Errorf("generatorFor(%q) = false, want true", id)
+	for _, tc := range []struct {
+		spec string
+		want []string // nil: the spec must be rejected
+	}{
+		{"all", figureIDs()},
+		{"ALL", figureIDs()},
+		{"micro", []string{"micro"}},
+		{"14, 10,micro", []string{"10", "14", "micro"}},
+		{"10,10", []string{"10"}},
+		{"all,power", figureIDs()},
+		{"micro,bogus", nil},
+		{"bogus", nil},
+		{"micro,", nil},
+		{",micro", nil},
+		{"", nil},
+		{"all,bogus", nil},
+	} {
+		gens, err := selectGens(opt, tc.spec)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("selectGens(%q) accepted, want an error", tc.spec)
+			} else if !strings.Contains(err.Error(), strings.Join(figureIDs(), ", ")) {
+				t.Errorf("selectGens(%q) error %q does not list the valid ids", tc.spec, err)
+			}
+			continue
 		}
-	}
-	if _, ok := generatorFor(opt, "bogus"); ok {
-		t.Error("generatorFor(bogus) resolved")
+		if err != nil {
+			t.Errorf("selectGens(%q) = %v", tc.spec, err)
+			continue
+		}
+		got := make([]string, len(gens))
+		for i, g := range gens {
+			got[i] = g.id
+		}
+		if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("selectGens(%q) = %v, want %v", tc.spec, got, tc.want)
+		}
 	}
 }
 

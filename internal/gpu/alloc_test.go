@@ -1,8 +1,8 @@
 package gpu
 
-// Steady-state allocation assertions (ISSUE 4). The simulation hot path has
-// been allocation-free since the pooling work (see bench_test.go); the
-// observability layer must not regress that, in either state:
+// Steady-state allocation assertions. The simulation hot path is
+// allocation-free, and the observability layer must not regress that, in
+// either state:
 //
 //   - disabled (nil tracer): the emit sites cost one nil-check each and the
 //     hot path stays at exactly zero allocations per cycle;
@@ -21,17 +21,7 @@ import (
 // 20k-cycle warm-up (caches, pools, TLBs, freelists primed).
 func steadyAllocs(t *testing.T, tr *trace.Tracer) float64 {
 	t.Helper()
-	cfg := testConfig()
-	opt := DefaultOptions()
-	opt.FootprintScale = 64
-	opt.Trace = tr
-	g, err := New(cfg, []AppSpec{
-		{Bench: bench(t, "LBM"), SMs: 40, Groups: []int{0, 1, 2, 3}},
-		{Bench: bench(t, "DXTC"), SMs: 40, Groups: []int{4, 5, 6, 7}},
-	}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := pairGPU(t, tr)
 	g.Run(20_000)
 	return testing.AllocsPerRun(200, func() { g.Run(10) })
 }
@@ -65,16 +55,7 @@ func TestSteadyStateZeroAllocTracerEnabled(t *testing.T) {
 // regression — re-allocating its deltas or stats slice — costs at least one
 // allocation per call and reads as >= 1.0.
 func TestEpochBoundaryZeroAlloc(t *testing.T) {
-	cfg := testConfig()
-	opt := DefaultOptions()
-	opt.FootprintScale = 64
-	g, err := New(cfg, []AppSpec{
-		{Bench: bench(t, "LBM"), SMs: 40, Groups: []int{0, 1, 2, 3}},
-		{Bench: bench(t, "DXTC"), SMs: 40, Groups: []int{4, 5, 6, 7}},
-	}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := pairGPU(t, nil)
 	g.Run(20_000)
 	g.EndEpoch() // size the reused buffers
 	if got := testing.AllocsPerRun(100, func() {
@@ -93,16 +74,7 @@ func TestEpochBoundaryZeroAlloc(t *testing.T) {
 // reuses a scratch slice, and the parked-LLC-request pass (run here on a
 // slice holding a legal parked queue) only reads.
 func TestCheckInvariantsZeroAlloc(t *testing.T) {
-	cfg := testConfig()
-	opt := DefaultOptions()
-	opt.FootprintScale = 64
-	g, err := New(cfg, []AppSpec{
-		{Bench: bench(t, "LBM"), SMs: 40, Groups: []int{0, 1, 2, 3}},
-		{Bench: bench(t, "DXTC"), SMs: 40, Groups: []int{4, 5, 6, 7}},
-	}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := pairGPU(t, nil)
 	g.Run(20_000)
 	if g.VM().PageCount(0) == 0 || g.VM().PageCount(1) == 0 {
 		t.Fatal("tenants hold no pages")

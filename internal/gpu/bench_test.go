@@ -1,47 +1,13 @@
 package gpu
 
-// Hot-path benchmarks. BenchmarkSimulatorThroughput drives a full two-app
-// shared GPU (the common experiment shape) and reports allocations per
-// simulated run; the allocation count is the regression metric for the
-// event-wheel, NoC, MSHR, and request-pool optimizations. Run with
+// Hot-path benchmarks on the busy two-tenant machine (pairGPU). The
+// allocation contract they report is asserted by the steady-state tests in
+// alloc_test.go; end-to-end simulator speed is measured by the benchmark
+// harness (bash bench/run.sh, see BENCHMARK.json). Run with
 //
-//	go test -bench SimulatorThroughput -benchmem ./internal/gpu/
-//
-// Seed baseline (before pooling): ~1.42M allocs/op for this workload.
+//	go test -run '^$' -bench . -benchmem ./internal/gpu/
 
-import (
-	"testing"
-
-	"ugpu/internal/power"
-	"ugpu/internal/trace"
-	"ugpu/internal/workload"
-)
-
-func benchGPU(b *testing.B) *GPU { return benchGPUTraced(b, nil) }
-
-func benchGPUTraced(b *testing.B, tr *trace.Tracer) *GPU {
-	b.Helper()
-	cfg := testConfig()
-	lbm, err := workload.ByAbbr("LBM")
-	if err != nil {
-		b.Fatal(err)
-	}
-	dxtc, err := workload.ByAbbr("DXTC")
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := DefaultOptions()
-	opt.FootprintScale = 64
-	opt.Trace = tr
-	g, err := New(cfg, []AppSpec{
-		{Bench: lbm, SMs: 40, Groups: []int{0, 1, 2, 3}},
-		{Bench: dxtc, SMs: 40, Groups: []int{4, 5, 6, 7}},
-	}, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
-}
+import "testing"
 
 // BenchmarkSimulatorThroughput measures one full 60k-cycle simulation per
 // iteration, including construction (steady-state pools amortize within the
@@ -49,7 +15,7 @@ func benchGPUTraced(b *testing.B, tr *trace.Tracer) *GPU {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g := benchGPU(b)
+		g := pairGPU(b, nil)
 		g.Run(uint64(g.Config().MaxCycles))
 		if g.Totals().Loads == 0 {
 			b.Fatal("benchmark simulated no loads")
@@ -62,161 +28,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // the recurring tick/memory-path work that the freelists are meant to
 // eliminate.
 func BenchmarkSteadyStateCycles(b *testing.B) {
-	g := benchGPU(b)
+	g := pairGPU(b, nil)
 	g.Run(20_000) // warm caches, pools, and TLBs
-	b.ReportAllocs()
-	b.ResetTimer()
-	g.Run(uint64(b.N))
-}
-
-// BenchmarkSteadyStateCyclesTraced is BenchmarkSteadyStateCycles with an
-// enabled (unfiltered) tracer attached; comparing ns/op against the
-// untraced benchmark gives the recorded tracing overhead (EXPERIMENTS.md).
-// alloc_test.go asserts both variants stay at zero allocs per cycle.
-func BenchmarkSteadyStateCyclesTraced(b *testing.B) {
-	g := benchGPUTraced(b, trace.New(1<<15))
-	g.Run(20_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	g.Run(uint64(b.N))
-}
-
-// benchGPUPower is benchGPU with the power subsystem enabled; every domain
-// sits at nominal frequency, the steady-state common case the cost contract
-// prices at a single SMAllNominal branch per cycle.
-func benchGPUPower(b *testing.B) *GPU {
-	b.Helper()
-	cfg := testConfig()
-	lbm, err := workload.ByAbbr("LBM")
-	if err != nil {
-		b.Fatal(err)
-	}
-	dxtc, err := workload.ByAbbr("DXTC")
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := DefaultOptions()
-	opt.FootprintScale = 64
-	opt.Power = &power.Config{}
-	g, err := New(cfg, []AppSpec{
-		{Bench: lbm, SMs: 40, Groups: []int{0, 1, 2, 3}},
-		{Bench: dxtc, SMs: 40, Groups: []int{4, 5, 6, 7}},
-	}, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
-}
-
-// BenchmarkSteadyStateCyclesDVFS is BenchmarkSteadyStateCycles with the
-// power subsystem enabled at nominal frequency. Comparing ns/op against the
-// base benchmark gives the recorded DVFS tax on the per-cycle hot path
-// (BENCH_power.json; regression budget 2%).
-func BenchmarkSteadyStateCyclesDVFS(b *testing.B) {
-	g := benchGPUPower(b)
-	g.Run(20_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	g.Run(uint64(b.N))
-}
-
-// benchIdleGPU builds a GPU with no resident tenants: the drained-tenant
-// steady state an online-serving deployment spends much of its time in.
-func benchIdleGPU(b *testing.B, noFF bool) *GPU {
-	b.Helper()
-	opt := DefaultOptions()
-	opt.FootprintScale = 64
-	opt.NoFastForward = noFF
-	g, err := New(testConfig(), nil, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
-}
-
-// BenchmarkSteadyStateIdle measures the per-cycle cost of a quiescent GPU
-// (all tenants drained, nothing resident). The fast-forward engine should
-// collapse this to a bound computation per scrub interval; compare against
-// BenchmarkSteadyStateIdleNoFastForward for the speedup.
-func BenchmarkSteadyStateIdle(b *testing.B) {
-	g := benchIdleGPU(b, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	g.Run(uint64(b.N))
-}
-
-// BenchmarkSteadyStateIdleNoFastForward is the per-cycle baseline for the
-// same quiescent shape.
-func BenchmarkSteadyStateIdleNoFastForward(b *testing.B) {
-	g := benchIdleGPU(b, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	g.Run(uint64(b.N))
-}
-
-// benchChurn drives the serving churn shape: tenants attach, run briefly,
-// and detach, so the machine alternates between short bursts of work and
-// drained quiet spans punctuated by context-save traffic.
-func benchChurn(b *testing.B, noFF bool) {
-	dxtc, err := workload.ByAbbr("DXTC")
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := DefaultOptions()
-	opt.FootprintScale = 64
-	opt.NoFastForward = noFF
-	g, err2 := New(testConfig(), nil, opt)
-	if err2 != nil {
-		b.Fatal(err2)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id, err := g.AttachApp(g.Cycle(), AppSpec{Bench: dxtc, SMs: 8, Groups: []int{0, 1}}, uint64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		g.Run(1_500)
-		if err := g.BeginDetach(g.Cycle(), id); err != nil {
-			b.Fatal(err)
-		}
-		for !g.FinishDetach(g.Cycle(), id) {
-			g.Run(500)
-		}
-	}
-}
-
-// BenchmarkServeChurn measures one attach/run/detach tenant cycle per
-// iteration with fast-forward on (the default serving configuration).
-func BenchmarkServeChurn(b *testing.B) { benchChurn(b, false) }
-
-// BenchmarkServeChurnNoFastForward is the per-cycle-loop baseline.
-func BenchmarkServeChurnNoFastForward(b *testing.B) { benchChurn(b, true) }
-
-// BenchmarkSteadyStateCyclesNoFastForward is BenchmarkSteadyStateCycles with
-// the fast-forward engine disabled: the pair bounds the engine's overhead on
-// a busy machine (the regression budget is 2%).
-func BenchmarkSteadyStateCyclesNoFastForward(b *testing.B) {
-	cfg := testConfig()
-	lbm, err := workload.ByAbbr("LBM")
-	if err != nil {
-		b.Fatal(err)
-	}
-	dxtc, err := workload.ByAbbr("DXTC")
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := DefaultOptions()
-	opt.FootprintScale = 64
-	opt.NoFastForward = true
-	g, err := New(cfg, []AppSpec{
-		{Bench: lbm, SMs: 40, Groups: []int{0, 1, 2, 3}},
-		{Bench: dxtc, SMs: 40, Groups: []int{4, 5, 6, 7}},
-	}, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g.Run(20_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	g.Run(uint64(b.N))

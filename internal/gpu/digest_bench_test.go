@@ -16,7 +16,7 @@ import (
 // BenchmarkStateDigest prices one full DigestComponents snapshot of a warm
 // two-tenant machine (the -digest-every=1 per-epoch cost).
 func BenchmarkStateDigest(b *testing.B) {
-	g := benchGPU(b)
+	g := pairGPU(b, nil)
 	g.Run(20_000)
 	var rec digest.Recorder
 	g.DigestComponents(&rec) // warm the label and closure caches
@@ -53,13 +53,13 @@ func TestDigestOverheadWithinBudget(t *testing.T) {
 	epochCycles := testConfig().EpochCycles
 
 	cyc := testing.Benchmark(func(b *testing.B) {
-		g := benchGPU(b)
+		g := pairGPU(b, nil)
 		g.Run(20_000)
 		b.ResetTimer()
 		g.Run(uint64(b.N))
 	})
 	dig := testing.Benchmark(func(b *testing.B) {
-		g := benchGPU(b)
+		g := pairGPU(b, nil)
 		g.Run(20_000)
 		var rec digest.Recorder
 		g.DigestComponents(&rec)

@@ -5,6 +5,7 @@ import (
 
 	"ugpu/internal/config"
 	"ugpu/internal/dram"
+	"ugpu/internal/trace"
 	"ugpu/internal/workload"
 )
 
@@ -17,13 +18,32 @@ func testConfig() config.Config {
 	return cfg
 }
 
-func bench(t *testing.T, abbr string) workload.Benchmark {
-	t.Helper()
+func bench(tb testing.TB, abbr string) workload.Benchmark {
+	tb.Helper()
 	b, err := workload.ByAbbr(abbr)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return b
+}
+
+// pairGPU builds the busy two-tenant machine that the hot-path benchmarks,
+// the steady-state allocation tests and the digest cost test share: LBM and
+// DXTC on 40 SMs and four channel groups each, footprints divided by 64,
+// with tr attached (nil for no tracer).
+func pairGPU(tb testing.TB, tr *trace.Tracer) *GPU {
+	tb.Helper()
+	opt := DefaultOptions()
+	opt.FootprintScale = 64
+	opt.Trace = tr
+	g, err := New(testConfig(), []AppSpec{
+		{Bench: bench(tb, "LBM"), SMs: 40, Groups: []int{0, 1, 2, 3}},
+		{Bench: bench(tb, "DXTC"), SMs: 40, Groups: []int{4, 5, 6, 7}},
+	}, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
 }
 
 func testOptions() Options {
