@@ -2,14 +2,19 @@
 # standard Go toolchain; there are no external dependencies.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build test short race bench bench-once vet check cover smoke bench-check experiments clean
+.PHONY: all build fmt test short race bench bench-once vet check cover smoke bench-check experiments clean
 
 all: check
 
 ## build: compile every package and command
 build:
 	$(GO) build ./...
+
+## fmt: fail when gofmt would reformat any Go file (lists the files)
+fmt:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 ## test: full test suite (tier-1 gate together with build)
 test:
@@ -39,7 +44,7 @@ vet:
 	$(GO) vet ./...
 
 ## check: everything the CI gate runs
-check: build vet test race bench-once
+check: fmt build vet test race bench-once
 
 ## cover: per-package coverage summary (short mode keeps it fast)
 cover:

@@ -48,12 +48,6 @@ type Cluster struct {
 	Cfg           config.Config
 	GPUs          int
 	TenantsPerGPU int
-
-	// Parallel bounds the worker pool used to simulate the cluster's GPUs
-	// (each physical GPU is an independent simulation). 0 sizes the pool to
-	// GOMAXPROCS; 1 forces serial execution. Reports are identical for any
-	// value — see internal/parallel's determinism contract.
-	Parallel int
 }
 
 // New builds a cluster of n GPUs hosting perGPU tenants each.
@@ -124,10 +118,11 @@ func (c *Cluster) Run(jobs []workload.Benchmark, p Placement, mkPolicy func() co
 	rep := Report{Placement: p, Policy: mkPolicy().Name()}
 
 	// Each occupied GPU is an independent simulation: fan the set out over
-	// the worker pool. Every task builds its own policy instance (policies
-	// carry state) and GPU; shared state is limited to the singleflight-
-	// guarded AloneIPC cache. Reports are aggregated in GPU-index order so
-	// the output is identical to a serial run.
+	// a GOMAXPROCS-sized worker pool. Every task builds its own policy
+	// instance (policies carry state) and GPU; shared state is limited to
+	// the singleflight-guarded AloneIPC cache. Reports are aggregated in
+	// GPU-index order so the output is identical to a serial run (see
+	// internal/parallel's determinism contract).
 	type slot struct {
 		gi  int
 		mix workload.Mix
@@ -150,7 +145,7 @@ func (c *Cluster) Run(jobs []workload.Benchmark, p Placement, mkPolicy func() co
 		slots = append(slots, slot{gi: gi, mix: workload.Mix{
 			Name: strings.Join(names, "_"), Apps: tenants, Hetero: hasC && hasM}})
 	}
-	reports, err := parallel.Map(parallel.New(c.Parallel), len(slots), func(i int) (GPUReport, error) {
+	reports, err := parallel.Map(parallel.New(0), len(slots), func(i int) (GPUReport, error) {
 		s := slots[i]
 		res, err := core.RunPolicy(c.Cfg, mkPolicy(), s.mix)
 		if err != nil {

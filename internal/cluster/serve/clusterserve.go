@@ -43,6 +43,10 @@ import (
 // under tier >= 2 are judged against RelaxFactor x the LC slowdown target.
 const RelaxFactor = 2.0
 
+// retryBudget bounds re-dispatch attempts per crash-recovered job;
+// exhaustion sheds the job with ShedRetryExhausted.
+const retryBudget = 3
+
 // Config parameterises one cluster serving run.
 type Config struct {
 	// GPUs is the cluster size (default 4).
@@ -58,11 +62,8 @@ type Config struct {
 	Jobs []workload.Job
 	// Policy is each backend's admission discipline.
 	Policy serve.Policy
-	// SLO sets per-class slowdown targets (zero: metrics.DefaultSLO).
-	SLO metrics.SLOSpec
-	// MaxResident / QueueCap configure each backend (serve.Config).
-	MaxResident int
-	QueueCap    int
+	// QueueCap configures each backend (serve.Config).
+	QueueCap int
 
 	// CheckpointEvery is the cycle interval between periodic checkpoints of
 	// every alive backend (default 2 x EpochCycles). Crashed tenants resume
@@ -77,18 +78,13 @@ type Config struct {
 	// CrashPlan, when non-nil, replays an explicit crash schedule instead
 	// of Crashes/CrashSeed (tests; may kill every GPU).
 	CrashPlan []fault.Crash
-	// RetryBudget bounds re-dispatch attempts per crash-recovered job
-	// (default 3); exhaustion sheds the job with ShedRetryExhausted.
-	RetryBudget int
 	// Brownout enables the tiered overload controller: tier 1 sheds new
 	// best-effort arrivals, tier 2 additionally relaxes the LC target by
 	// RelaxFactor, tier 3 circuit-breaks all arrivals until the frontend
-	// queue delay recovers.
+	// queue delay recovers. Tier 1 trips when the frontend mean queue delay
+	// reaches 2 x EpochCycles, tier t at twice tier t-1's delay; exit is
+	// hysteretic at half the tier's entry threshold.
 	Brownout bool
-	// BrownoutDelay is the frontend mean queue delay (cycles) that trips
-	// tier 1; tier t trips at BrownoutDelay << (t-1). Default 2 x
-	// EpochCycles. Exit is hysteretic at half the tier's entry threshold.
-	BrownoutDelay int
 
 	// Gray is the seeded gray-degradation spec (fault.ParseGraySpec): GPUs
 	// that keep answering but run slow for a bounded window. The zero spec
@@ -144,14 +140,6 @@ func (c Config) Validate() error {
 		return &config.FieldError{Field: "clusterserve.CheckpointEvery", Value: c.CheckpointEvery,
 			Reason: "must be >= 0 (0 means the default of 2 epochs)"}
 	}
-	if c.RetryBudget < 0 {
-		return &config.FieldError{Field: "clusterserve.RetryBudget", Value: c.RetryBudget,
-			Reason: "must be >= 0 (0 means the default of 3)"}
-	}
-	if c.BrownoutDelay < 0 {
-		return &config.FieldError{Field: "clusterserve.BrownoutDelay", Value: c.BrownoutDelay,
-			Reason: "must be >= 0 (0 means the default of 2 epochs)"}
-	}
 	if c.PowerCap < 0 {
 		return &config.FieldError{Field: "clusterserve.PowerCap", Value: int(c.PowerCap),
 			Reason: "must be >= 0 watts (0 means uncapped)"}
@@ -201,17 +189,15 @@ func (c Config) backendConfig(tr *trace.Tracer) serve.Config {
 		jobs = nil
 	}
 	return serve.Config{
-		Sim:         c.Sim,
-		Opt:         opt,
-		Arrivals:    c.Arrivals,
-		Seed:        c.Seed,
-		Jobs:        jobs,
-		Policy:      c.Policy,
-		SLO:         c.SLO,
-		MaxResident: c.MaxResident,
-		QueueCap:    c.QueueCap,
-		Alone:       c.Alone,
-		PowerCap:    c.PowerCap / float64(c.effectiveGPUs()),
+		Sim:      c.Sim,
+		Opt:      opt,
+		Arrivals: c.Arrivals,
+		Seed:     c.Seed,
+		Jobs:     jobs,
+		Policy:   c.Policy,
+		QueueCap: c.QueueCap,
+		Alone:    c.Alone,
+		PowerCap: c.PowerCap / float64(c.effectiveGPUs()),
 	}
 }
 
@@ -225,20 +211,11 @@ func (c *Config) withDefaults() {
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 2 * c.Sim.EpochCycles
 	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 3
-	}
-	if c.BrownoutDelay <= 0 {
-		c.BrownoutDelay = 2 * c.Sim.EpochCycles
-	}
 	if c.CrashSeed == 0 {
 		c.CrashSeed = c.Seed
 	}
 	if c.GraySeed == 0 {
 		c.GraySeed = c.Seed
-	}
-	if c.SLO == (metrics.SLOSpec{}) {
-		c.SLO = metrics.DefaultSLO()
 	}
 	if c.Alone == nil {
 		c.Alone = metrics.NewAloneIPC(c.Sim, c.Opt)
@@ -306,6 +283,9 @@ type Frontend struct {
 
 	crashPlan []fault.Crash
 	nextCrash int
+	// retryCap is retryBudget, lowered only by tests that exhaust it on a
+	// small cluster.
+	retryCap int
 
 	tracks  []*track
 	nextArr int
@@ -333,6 +313,14 @@ type Frontend struct {
 	healthCfg HealthConfig
 	healthLog []HealthTransition
 	graySaved float64
+	// maxSuspects caps how many backends may sit outside the healthy state
+	// (suspect, quarantined, or probing) on soft evidence — progress ratios
+	// and queue growth — at once: max(1, GPUs/4). Closing a GPU to LC work
+	// shifts its load onto the survivors, which depresses *their* progress
+	// scores; without a cap one true conviction can cascade into
+	// quarantining the cluster. Hard evidence — a NACK burst, something
+	// healthy hardware cannot emit — bypasses the cap. Tests raise it.
+	maxSuspects int
 
 	caps []float64 // per-GPU power budget currently assigned (watts)
 
@@ -360,7 +348,7 @@ func New(cfg Config) (*Frontend, error) {
 			return nil, err
 		}
 	}
-	f := &Frontend{cfg: cfg, nAlive: cfg.GPUs}
+	f := &Frontend{cfg: cfg, nAlive: cfg.GPUs, retryCap: retryBudget}
 	f.backends = make([]*serve.Server, cfg.GPUs)
 	f.alive = make([]bool, cfg.GPUs)
 	for i := range f.backends {
@@ -408,6 +396,7 @@ func New(cfg Config) (*Frontend, error) {
 	}
 	if cfg.Health != nil {
 		f.healthCfg = cfg.Health.withDefaults()
+		f.maxSuspects = max(1, cfg.GPUs/4)
 		f.health = make([]backendHealth, cfg.GPUs)
 		for i := range f.health {
 			f.health[i].quarStart = -1
@@ -684,19 +673,20 @@ func (f *Frontend) settleRecovery(cycle int, tk *track) {
 
 // updateBrownout moves the overload tier by at most one step per boundary,
 // driven by the mean wait of frontend-queued jobs. Entry to tier t needs
-// delay >= BrownoutDelay << (t-1); exit is hysteretic at half the current
-// tier's entry threshold, sustained for three boundaries.
+// delay >= (2 x EpochCycles) << (t-1); exit is hysteretic at half the
+// current tier's entry threshold, sustained for three boundaries.
 func (f *Frontend) updateBrownout(cycle int) {
 	if !f.cfg.Brownout {
 		return
 	}
+	trip := int64(2 * f.cfg.Sim.EpochCycles)
 	delay := f.queueDelay(cycle)
-	if f.tier < 3 && delay >= float64(int64(f.cfg.BrownoutDelay)<<uint(f.tier)) {
+	if f.tier < 3 && delay >= float64(trip<<uint(f.tier)) {
 		f.setTier(cycle, f.tier+1, delay)
 		f.belowFor = 0
 		return
 	}
-	if f.tier > 0 && delay < float64(int64(f.cfg.BrownoutDelay)<<uint(f.tier-1))/2 {
+	if f.tier > 0 && delay < float64(trip<<uint(f.tier-1))/2 {
 		f.belowFor++
 		if f.belowFor >= 3 {
 			f.setTier(cycle, f.tier-1, delay)
@@ -905,7 +895,7 @@ func (f *Frontend) report(cycle uint64) *Report {
 		r.Energy.Transitions += e.Transitions
 	}
 	if pm := f.backends[0].GPU().PowerManager(); pm != nil && cycle > 0 {
-		r.MeanPower = r.Energy.Total / float64(cycle) * pm.WattsPerUnit()
+		r.MeanPower = r.Energy.Total / float64(cycle) * power.DefaultWattsPerUnit
 	}
 	fo := metrics.FailoverStats{
 		GPUs:           f.cfg.GPUs,
@@ -919,7 +909,7 @@ func (f *Frontend) report(cycle uint64) *Report {
 			fo.GrayDetectEpochs, fo.QuarantinedGPUCycles = f.grayStats(cycle)
 		fo.GraySavedWork = f.graySaved
 	}
-	r.SLO = metrics.BuildSLOReport(r.Outcomes, f.cfg.SLO, f.cfg.Sim.MaxCycles, fo)
+	r.SLO = metrics.BuildSLOReport(r.Outcomes, metrics.DefaultSLO(), f.cfg.Sim.MaxCycles, fo)
 	if len(f.digestChain) > 0 {
 		r.Digest = f.digestChain
 		r.BackendDigests = make([]digest.Chain, len(f.backends))

@@ -94,8 +94,7 @@ func TestClusterConfigValidate(t *testing.T) {
 		{"negative GPUs", func(c *Config) { c.GPUs = -1 }, "clusterserve.GPUs"},
 		{"negative Crashes", func(c *Config) { c.Crashes = -2 }, "clusterserve.Crashes"},
 		{"negative CheckpointEvery", func(c *Config) { c.CheckpointEvery = -5 }, "clusterserve.CheckpointEvery"},
-		{"negative RetryBudget", func(c *Config) { c.RetryBudget = -1 }, "clusterserve.RetryBudget"},
-		{"negative BrownoutDelay", func(c *Config) { c.BrownoutDelay = -1 }, "clusterserve.BrownoutDelay"},
+		{"negative PowerCap", func(c *Config) { c.PowerCap = -1 }, "clusterserve.PowerCap"},
 		{"backend knob surfaces", func(c *Config) { c.QueueCap = -1 }, "serve.QueueCap"},
 	}
 	for _, tc := range cases {
@@ -266,7 +265,6 @@ func TestClusterRetryExhaustion(t *testing.T) {
 	dxtc := mustBench(t, "DXTC")
 	cfg := testConfig(t)
 	cfg.GPUs = 3
-	cfg.RetryBudget = 1
 	// One long job; its first home (GPU 0) dies, then its second home dies
 	// too, exhausting the single retry.
 	cfg.Jobs = workload.Trace([]workload.TraceEntry{
@@ -280,6 +278,7 @@ func TestClusterRetryExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.retryCap = 1
 	rep, err := f.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +321,6 @@ func TestClusterBrownoutEngages(t *testing.T) {
 	cfg.GPUs = 2
 	cfg.QueueCap = 4
 	cfg.Brownout = true
-	cfg.BrownoutDelay = 3_000
 	cfg.Jobs = workload.Trace(entries)
 	cfg.CrashPlan = []fault.Crash{{Cycle: 10_000, GPU: 0}}
 	cfg.Trace = trace.New(trace.DefaultCapacity)

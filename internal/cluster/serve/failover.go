@@ -79,7 +79,7 @@ func (f *Frontend) crashGPU(cycle uint64, victim int) {
 			f.settleRecovery(int(cycle), tk)
 		}
 		tk.retries++
-		if tk.retries > f.cfg.RetryBudget {
+		if tk.retries > f.retryCap {
 			f.shedJob(int(cycle), tk, metrics.ShedRetryExhausted)
 			continue
 		}

@@ -61,70 +61,58 @@ func (s HealthState) String() string {
 // defaults.
 type HealthConfig struct {
 	// EnterRatio: a backend whose progress falls below EnterRatio x the
-	// peer median scores a bad epoch (default 0.5). ExitRatio: at or above
-	// ExitRatio x median scores a good epoch (default 0.75). Between the
-	// two is the dead band — neither streak moves, so a score oscillating
-	// around one threshold cannot flap the state.
+	// peer median scores a bad epoch (default 0.5). At or above exitRatio x
+	// median it scores a good epoch. Between the two is the dead band —
+	// neither streak moves, so a score oscillating around one threshold
+	// cannot flap the state.
 	EnterRatio float64
-	ExitRatio  float64
 	// SuspectAfter is the consecutive bad epochs that turn healthy into
-	// suspect (default 2); QuarantineAfter the further bad epochs that turn
-	// suspect into quarantined (default 2). A suspect also needs
-	// SuspectAfter consecutive good epochs to be cleared back to healthy.
-	SuspectAfter    int
-	QuarantineAfter int
+	// suspect (default 2); quarantineAfter further bad epochs turn suspect
+	// into quarantined. A suspect also needs SuspectAfter consecutive good
+	// epochs to be cleared back to healthy.
+	SuspectAfter int
 	// ProbeEpochs is the consecutive clean probe epochs a quarantined GPU
 	// must score before LC work is re-admitted (default 4).
 	ProbeEpochs int
-	// NACKBurst: a per-epoch fault-event delta (NoC drops + migration
-	// NACKs) at or above this is a bad epoch regardless of progress
-	// (default 8) — a flaky-link victim can hide a progress dip behind
-	// retries, but not the retry burst itself.
-	NACKBurst int
 	// GrowStreak is the consecutive epochs of queue growth (at or above a
-	// full per-GPU queue share) that corroborate a sub-ExitRatio progress
+	// full per-GPU queue share) that corroborate a sub-exitRatio progress
 	// score into a bad epoch (default 3). Raise it on clusters that run
 	// near saturation, where every healthy queue grows under a burst.
 	GrowStreak int
-	// MinPeers is the minimum number of alive backends with a progress
-	// signal (including the one under test) for verdicts to be rendered;
-	// below it every epoch is neutral (default 3 — a median of one peer
-	// convicts nobody).
-	MinPeers int
-	// MaxSuspects caps how many backends may sit outside the healthy state
-	// (suspect, quarantined, or probing) on soft evidence — progress ratios
-	// and queue growth — at once (default max(1, GPUs/4)). Closing a GPU to
-	// LC work shifts its load onto the survivors, which depresses *their*
-	// progress scores; without a cap one true conviction can cascade into
-	// quarantining the cluster. Hard evidence — a NACK burst, something
-	// healthy hardware cannot emit — bypasses the cap.
-	MaxSuspects int
 }
+
+// The scorer's fixed thresholds.
+const (
+	// exitRatio: progress at or above exitRatio x the peer median scores a
+	// good epoch.
+	exitRatio = 0.75
+	// quarantineAfter is the bad epochs past SuspectAfter that turn a
+	// suspect into quarantined.
+	quarantineAfter = 2
+	// nackBurst: a per-epoch fault-event delta (NoC drops + migration
+	// NACKs) at or above this is a bad epoch regardless of progress — a
+	// flaky-link victim can hide a progress dip behind retries, but not
+	// the retry burst itself.
+	nackBurst = 8
+	// minPeers is the minimum number of alive backends with a progress
+	// signal (including the one under test) for verdicts to be rendered;
+	// below it every epoch is neutral (a median of one peer convicts
+	// nobody).
+	minPeers = 3
+)
 
 func (c HealthConfig) withDefaults() HealthConfig {
 	if c.EnterRatio == 0 {
 		c.EnterRatio = 0.5
 	}
-	if c.ExitRatio == 0 {
-		c.ExitRatio = 0.75
-	}
 	if c.SuspectAfter == 0 {
 		c.SuspectAfter = 2
-	}
-	if c.QuarantineAfter == 0 {
-		c.QuarantineAfter = 2
 	}
 	if c.ProbeEpochs == 0 {
 		c.ProbeEpochs = 4
 	}
-	if c.NACKBurst == 0 {
-		c.NACKBurst = 8
-	}
 	if c.GrowStreak == 0 {
 		c.GrowStreak = 3
-	}
-	if c.MinPeers == 0 {
-		c.MinPeers = 3
 	}
 	return c
 }
@@ -237,24 +225,24 @@ func (f *Frontend) updateHealth(cycle int) error {
 		// cap state, tenancy, or peer count, and healthy hardware never
 		// produces them.
 		v := vNeutral
-		hard := faultDelta >= uint64(hc.NACKBurst)
+		hard := faultDelta >= nackBurst
 		if hard {
 			v = vBad
 			if sig.Residents > 0 && med > 0 {
 				bh.lastScore = sig.Progress / med
 			}
-		} else if sig.CapDepth == 0 && sig.Residents > 0 && len(peers) >= hc.MinPeers && med > 0 {
+		} else if sig.CapDepth == 0 && sig.Residents > 0 && len(peers) >= minPeers && med > 0 {
 			ratio := sig.Progress / med
 			bh.lastScore = ratio
 			// Queue growth corroborates a progress dip — it never convicts
 			// alone. A saturating arrival burst grows every healthy queue;
 			// only growth on a GPU that is also falling out of the good band
 			// is evidence of sickness.
-			growing := bh.growStreak >= hc.GrowStreak && ratio < hc.ExitRatio
+			growing := bh.growStreak >= hc.GrowStreak && ratio < exitRatio
 			switch {
 			case ratio < hc.EnterRatio || growing:
 				v = vBad
-			case ratio >= hc.ExitRatio:
+			case ratio >= exitRatio:
 				v = vGood
 			}
 		}
@@ -274,7 +262,7 @@ func (f *Frontend) updateHealth(cycle int) error {
 					// must re-earn a full fresh streak, which a merely
 					// load-shocked GPU never does. Hard NACK evidence
 					// bypasses the cap: only a real injector produces it.
-					if hard || f.unhealthyCount() < f.maxSuspects() {
+					if hard || f.unhealthyCount() < f.maxSuspects {
 						f.setHealth(cycle, i, HealthSuspect)
 						bh.goodStreak = 0
 					} else {
@@ -289,7 +277,7 @@ func (f *Frontend) updateHealth(cycle int) error {
 			case vBad:
 				bh.badStreak++
 				bh.goodStreak = 0
-				if bh.badStreak >= hc.SuspectAfter+hc.QuarantineAfter {
+				if bh.badStreak >= hc.SuspectAfter+quarantineAfter {
 					if err := f.quarantine(cycle, i); err != nil {
 						return err
 					}
@@ -339,18 +327,6 @@ func (f *Frontend) unhealthyCount() int {
 		if f.health[i].state != HealthHealthy {
 			n++
 		}
-	}
-	return n
-}
-
-// maxSuspects resolves the soft-evidence suspicion cap.
-func (f *Frontend) maxSuspects() int {
-	if f.healthCfg.MaxSuspects > 0 {
-		return f.healthCfg.MaxSuspects
-	}
-	n := len(f.backends) / 4
-	if n < 1 {
-		n = 1
 	}
 	return n
 }

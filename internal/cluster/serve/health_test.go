@@ -256,7 +256,7 @@ func TestClusterHealthNoFPUnderBrownoutOverload(t *testing.T) {
 }
 
 // TestClusterHealthHysteresisNoFlap: a borderline degradation (one P-state
-// step — well inside the dead band between EnterRatio and ExitRatio) never
+// step — well inside the dead band between EnterRatio and exitRatio) never
 // flaps the state machine: the victim either stays healthy the whole run or
 // transitions monotonically, but never oscillates suspect -> healthy ->
 // suspect.
@@ -281,7 +281,7 @@ func TestClusterHealthHysteresisNoFlap(t *testing.T) {
 }
 
 // TestClusterHealthSuspicionCap: soft (progress-based) convictions are
-// limited to MaxSuspects concurrent non-healthy members — a second sick
+// limited to maxSuspects concurrent non-healthy members — a second sick
 // GPU must wait for a slot, and its capped streak resets so it needs fresh
 // evidence once one frees — while hard NACK-burst evidence bypasses the
 // cap entirely (only a real injector can produce it).
@@ -299,18 +299,22 @@ func TestClusterHealthSuspicionCap(t *testing.T) {
 	// two victims degraded at once (on a 4-GPU cluster the median sags
 	// toward the sick scores and the verdicts turn borderline), and a
 	// tight enter threshold so both quarter-rate victims convict on
-	// progress alone.
-	run := func(mut func(*Config)) *Frontend {
-		f, _, _ := runGray(t, func(c *Config) {
-			c.GPUs = 6
-			c.Health.EnterRatio = 0.65
-			c.Health.ExitRatio = 0.8
-			c.BackendTracers = make([]*trace.Tracer, c.GPUs)
-			for i := range c.BackendTracers {
-				c.BackendTracers[i] = trace.New(trace.DefaultCapacity)
-			}
-			mut(c)
-		})
+	// progress alone. suspects > 0 overrides the derived cap.
+	run := func(gray []fault.GrayFault, suspects int) *Frontend {
+		cfg := grayConfig(t)
+		cfg.GPUs = 6
+		cfg.Health.EnterRatio = 0.65
+		cfg.GrayPlan = gray
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if suspects > 0 {
+			f.maxSuspects = suspects
+		}
+		if _, err := f.Run(); err != nil {
+			t.Fatal(err)
+		}
 		return f
 	}
 	maxConcurrent := func(f *Frontend) int {
@@ -334,17 +338,14 @@ func TestClusterHealthSuspicionCap(t *testing.T) {
 	// Default cap for 6 GPUs is max(1, 6/4) = 1: the first conviction holds
 	// the only slot (probe re-admission lands past the horizon), so the
 	// second victim is never convicted on soft evidence alone.
-	f := run(func(c *Config) { c.GrayPlan = twoSick(0) })
+	f := run(twoSick(0), 0)
 	if got := maxConcurrent(f); got != 1 {
 		t.Errorf("default cap: max concurrent unhealthy = %d, want 1 (log: %+v)",
 			got, f.HealthLog())
 	}
 
 	// Raising the cap admits both soft convictions.
-	f = run(func(c *Config) {
-		c.GrayPlan = twoSick(0)
-		c.Health.MaxSuspects = 2
-	})
+	f = run(twoSick(0), 2)
 	if got := maxConcurrent(f); got < 2 {
 		t.Errorf("cap=2: max concurrent unhealthy = %d, want 2 (log: %+v)",
 			got, f.HealthLog())
@@ -352,7 +353,7 @@ func TestClusterHealthSuspicionCap(t *testing.T) {
 
 	// An injected NoC-drop stream is hard evidence: both victims go down
 	// concurrently even with the default cap of one.
-	f = run(func(c *Config) { c.GrayPlan = twoSick(0.02) })
+	f = run(twoSick(0.02), 0)
 	if got := maxConcurrent(f); got < 2 {
 		t.Errorf("hard bypass: max concurrent unhealthy = %d, want 2 (log: %+v)",
 			got, f.HealthLog())

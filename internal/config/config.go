@@ -67,8 +67,7 @@ type Config struct {
 	MigrationCycles int // MIGRATION command latency, GPU cycles (paper: ~40)
 
 	// Epoch-based control.
-	EpochCycles        int  // profiling/reallocation epoch (paper: 5M; scaled default 100K)
-	AlgorithmALUCycles bool // charge the partition-algorithm latency (paper: <=3388 cycles)
+	EpochCycles int // profiling/reallocation epoch (paper: 5M; scaled default 100K)
 
 	// Simulation.
 	MaxCycles int // default run length (paper: 25M; scaled default 1M)
@@ -160,8 +159,7 @@ func Default() Config {
 		DriverDelay:     1000,
 		MigrationCycles: 40,
 
-		EpochCycles:        100_000,
-		AlgorithmALUCycles: true,
+		EpochCycles: 100_000,
 
 		MaxCycles: 1_000_000,
 		Seed:      1,

@@ -323,7 +323,9 @@ func (r *Runner) Step() (done bool, err error) {
 		return true, nil
 	}
 	if targets, latency, ok := r.Pol.Decide(r.G.Cycle(), stats); ok {
-		if latency > 0 && r.Cfg.AlgorithmALUCycles {
+		// The partition algorithm's own latency (paper: <=3388 cycles)
+		// elapses before the new targets apply.
+		if latency > 0 {
 			r.G.Run(uint64(latency))
 		}
 		if err := r.applyTargets(r.G.Cycle(), targets); err != nil {
@@ -428,7 +430,7 @@ func (r *Runner) stepPower(cycle uint64, stats []gpu.EpochStats) {
 		return
 	}
 	if r.gov == nil {
-		r.gov = power.NewGovernor(pm, len(stats), power.GovernorConfig{Cap: r.PowerCap})
+		r.gov = power.NewGovernor(pm, len(stats), r.PowerCap)
 	}
 	bw := BandwidthFor(r.Cfg)
 	slices := make([]power.Slice, len(stats))

@@ -62,7 +62,7 @@ func conservationRun(t *testing.T, opt Options, spec []AppSpec, churn bool) {
 		if p < 0 {
 			t.Fatalf("epoch %d: negative power %g", i, p)
 		}
-		sum += p * float64(c-last) / pm.WattsPerUnit()
+		sum += p * float64(c-last) / power.DefaultWattsPerUnit
 		last = c
 		if churn {
 			switch i {

@@ -210,8 +210,10 @@ func (g *GPU) ApplyPartition(cycle uint64, targets []Partition) error {
 		return fmt.Errorf("gpu: %d partition targets for %d apps", len(targets), len(g.apps))
 	}
 	totalSM := 0
-	for _, t := range targets {
+	want := make([]int, len(targets))
+	for i, t := range targets {
 		totalSM += t.SMs
+		want[i] = t.SMs
 	}
 	if avail := g.AvailableSMs(); totalSM > avail {
 		return fmt.Errorf("gpu: partition wants %d SMs, have %d alive", totalSM, avail)
@@ -224,32 +226,34 @@ func (g *GPU) ApplyPartition(cycle uint64, targets []Partition) error {
 			}
 		}
 	}
-	// SM moves: repeatedly move from the most over-provisioned app to the
-	// most under-provisioned one.
-	for iter := 0; iter < len(g.apps)*g.cfg.NumSMs; iter++ {
-		give, take, giveExcess, takeDeficit := -1, -1, 0, 0
-		for i, t := range targets {
-			diff := len(g.apps[i].SMs) + g.apps[i].inbound - t.SMs
-			if diff > giveExcess {
-				give, giveExcess = i, diff
+	return g.BalanceSMs(cycle, want)
+}
+
+// BalanceSMs moves SMs between apps toward want[i] SMs for app i (drained
+// SMs in flight count toward their destination); apps with a negative want
+// take no part. Each pass drains from the most over-provisioned app to the
+// most under-provisioned one (lowest index on ties) and shrinks the total
+// imbalance by at least two, so NumSMs passes always suffice. Draining SMs
+// are not movable yet: a deficit they block resolves at a later boundary.
+func (g *GPU) BalanceSMs(cycle uint64, want []int) error {
+	for range g.cfg.NumSMs {
+		give, take, excess, deficit := -1, -1, 0, 0
+		for i, w := range want {
+			if w < 0 {
+				continue
 			}
-			if -diff > takeDeficit {
-				take, takeDeficit = i, -diff
+			diff := len(g.apps[i].SMs) + g.apps[i].inbound - w
+			if diff > excess {
+				give, excess = i, diff
+			}
+			if -diff > deficit {
+				take, deficit = i, -diff
 			}
 		}
 		if give < 0 || take < 0 {
 			break
 		}
-		n := giveExcess
-		if takeDeficit < n {
-			n = takeDeficit
-		}
-		// SMs still draining from an earlier reallocation are not movable
-		// yet; clamp rather than fail — the remaining deficit resolves at a
-		// later epoch once they land.
-		if avail := len(g.apps[give].SMs) - 1; n > avail {
-			n = avail
-		}
+		n := min(excess, deficit, len(g.apps[give].SMs)-1)
 		if n <= 0 {
 			break
 		}

@@ -183,48 +183,15 @@ func Score(res core.Result, alone []float64) (stp, antt float64) {
 }
 
 // EnergyModel holds per-event energy weights (arbitrary units; Figure 12b
-// uses only relative energy). Defaults are calibrated so the GPU core takes
-// ~88% and the HBM system ~12% of energy for heterogeneous workloads
-// (Section 6.3, citing AccelWattch).
-type EnergyModel struct {
-	SMActiveCycle float64 // dynamic + per-SM static, per active cycle
-	SMIdleCycle   float64 // static of an idle SM
-	CoreStatic    float64 // per cycle: NoC, LLC, scheduler static
-	DRAMActivate  float64
-	DRAMAccess    float64 // per read/write burst
-	DRAMMigration float64 // per MIGRATION command
-	DRAMStatic    float64 // per channel-cycle
-}
+// uses only relative energy). It is the DVFS meter's weight table
+// (power.EnergyWeights), applied post hoc to whole-run counters, so an
+// all-nominal power report equals Energy. Defaults are calibrated so the GPU
+// core takes ~88% and the HBM system ~12% of energy for heterogeneous
+// workloads (Section 6.3, citing AccelWattch).
+type EnergyModel power.EnergyWeights
 
 // DefaultEnergy returns the calibrated model.
-func DefaultEnergy() EnergyModel {
-	return EnergyModel{
-		SMActiveCycle: 1.00,
-		SMIdleCycle:   0.35,
-		CoreStatic:    14.0,
-		DRAMActivate:  3.0,
-		DRAMAccess:    2.0,
-		DRAMMigration: 2.4,
-		DRAMStatic:    0.009,
-	}
-}
-
-// PowerWeights converts the model to the power subsystem's weight struct:
-// the DVFS energy meter attributes exactly these per-event terms to the
-// operating state they were spent in, so an all-nominal power report equals
-// Energy. DefaultEnergy().PowerWeights() == power.DefaultWeights() is pinned
-// by test.
-func (m EnergyModel) PowerWeights() power.EnergyWeights {
-	return power.EnergyWeights{
-		SMActiveCycle: m.SMActiveCycle,
-		SMIdleCycle:   m.SMIdleCycle,
-		CoreStatic:    m.CoreStatic,
-		DRAMActivate:  m.DRAMActivate,
-		DRAMAccess:    m.DRAMAccess,
-		DRAMMigration: m.DRAMMigration,
-		DRAMStatic:    m.DRAMStatic,
-	}
-}
+func DefaultEnergy() EnergyModel { return EnergyModel(power.DefaultWeights()) }
 
 // Breakdown is a run's energy split.
 type Breakdown struct {

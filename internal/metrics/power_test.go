@@ -1,9 +1,8 @@
 package metrics
 
-// Cross-package pins between the event-energy model and the power
-// subsystem's DVFS meter: the weight structs must stay equal, and a run whose
-// domains never leave nominal must meter exactly the energy the base model
-// computes from whole-run counters.
+// Cross-package pin between the event-energy model and the power
+// subsystem's DVFS meter: a run whose domains never leave nominal must meter
+// exactly the energy the base model computes from whole-run counters.
 
 import (
 	"testing"
@@ -14,15 +13,6 @@ import (
 	"ugpu/internal/power"
 	"ugpu/internal/workload"
 )
-
-// TestPowerWeightsParity pins the deliberate duplication: the DVFS meter's
-// default weights are the event-energy model's, field for field. If one side
-// is recalibrated, this fails until the other follows.
-func TestPowerWeightsParity(t *testing.T) {
-	if got, want := DefaultEnergy().PowerWeights(), power.DefaultWeights(); got != want {
-		t.Errorf("DefaultEnergy().PowerWeights() = %+v\npower.DefaultWeights() = %+v", got, want)
-	}
-}
 
 // TestAllNominalPowerMatchesEnergy: run the UGPU policy with a single-state
 // (nominal-only) power config — the governor has nothing to choose, so every

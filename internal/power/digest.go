@@ -49,7 +49,7 @@ func (g *Governor) AppendDigest(h digest.Hash) digest.Hash {
 	if g == nil {
 		return h.Bool(false)
 	}
-	h = h.Bool(true).F64(g.cfg.Cap).Int(g.capDepth).Bool(g.clamped)
+	h = h.Bool(true).F64(g.cap).Int(g.capDepth).Bool(g.clamped)
 	h = h.Int(len(g.slots))
 	for i := range g.slots {
 		s := &g.slots[i]

@@ -19,8 +19,8 @@ type Slice struct {
 	// Gen identifies the tenant occupying the slot (job id in serving,
 	// the slot itself closed-world); a change resets the slot's hysteresis.
 	Gen int
-	// LC marks a latency-critical tenant: the efficiency pass limits it to
-	// LCMaxStep and the cap controller shaves it only after every
+	// LC marks a latency-critical tenant: the efficiency pass never
+	// downclocks it and the cap controller shaves it only after every
 	// best-effort slice is at the floor.
 	LC bool
 	// MemDegree is the slice's demand/supply ratio from the partitioning
@@ -32,60 +32,30 @@ type Slice struct {
 	Channels  []int
 }
 
-// GovernorConfig tunes the governor; zero fields take defaults.
-type GovernorConfig struct {
-	// Cap is this GPU's power budget in watts (0 = uncapped). The cluster
-	// arbiter overrides it per epoch via SetCap.
-	Cap float64
-	// MemHigh: a slice at or above this degree for StreakEpochs epochs has
-	// its SMs stepped down one state. The default sits just above the
-	// memory-bound classification boundary (degree 1): above it, issue-rate
-	// cuts convert stalled-active cycles to gated ones with little IPC cost.
-	MemHigh float64
-	// MemLow: a slice at or below this degree is stepped back up.
-	MemLow float64
-	// ChanLow: a slice at or below this degree (ample bandwidth headroom)
-	// for StreakEpochs epochs has its channels stepped down.
-	ChanLow float64
-	// ChanHigh: a slice at or above this degree has its channels restored.
-	ChanHigh float64
-	// LCMaxStep caps how far the efficiency pass may downclock an LC
-	// slice's SMs (0 = never).
-	LCMaxStep int
-	// StreakEpochs is how many consecutive epochs a classification must
+// The governor's thresholds. Degrees are the demand/supply ratio of the
+// partitioning model (>1 = memory-bound).
+const (
+	// memHigh: a slice at or above this degree for streakEpochs epochs has
+	// its SMs stepped down one state. It sits just above the memory-bound
+	// classification boundary (degree 1): above it, issue-rate cuts convert
+	// stalled-active cycles to gated ones with little IPC cost.
+	memHigh = 1.15
+	// memLow: a slice at or below this degree is stepped back up.
+	memLow = 1.05
+	// chanLow: a slice at or below this degree (ample bandwidth headroom)
+	// for streakEpochs epochs has its channels stepped down.
+	chanLow = 0.45
+	// chanHigh: a slice at or above this degree has its channels restored.
+	chanHigh = 0.75
+	// streakEpochs is how many consecutive epochs a classification must
 	// hold before a step.
-	StreakEpochs int
-	// HoldEpochs is the post-change cooldown before the next step.
-	HoldEpochs int
-	// CapHysteresis is the fraction of Cap below which the controller
-	// starts undoing cap-forced steps (the [h·Cap, Cap] band is stable).
-	CapHysteresis float64
-}
-
-func (c GovernorConfig) withDefaults() GovernorConfig {
-	if c.MemHigh == 0 {
-		c.MemHigh = 1.15
-	}
-	if c.MemLow == 0 {
-		c.MemLow = 1.05
-	}
-	if c.ChanLow == 0 {
-		c.ChanLow = 0.45
-	}
-	if c.ChanHigh == 0 {
-		c.ChanHigh = 0.75
-	}
-	if c.StreakEpochs == 0 {
-		c.StreakEpochs = 2
-	}
-	if c.HoldEpochs == 0 {
-		c.HoldEpochs = 1
-	}
-	if c.CapHysteresis == 0 {
-		c.CapHysteresis = 0.90
-	}
-	return c
-}
+	streakEpochs = 2
+	// holdEpochs is the post-change cooldown before the next step.
+	holdEpochs = 1
+	// capHysteresis is the fraction of the cap below which the controller
+	// starts undoing cap-forced steps (the [h·cap, cap] band is stable).
+	capHysteresis = 0.90
+)
 
 // slotGov is one slot's hysteresis state.
 type slotGov struct {
@@ -104,7 +74,7 @@ type slotGov struct {
 // code: Step never runs inside a simulated span.
 type Governor struct {
 	m   *Manager
-	cfg GovernorConfig
+	cap float64 // power budget in watts (0 = uncapped)
 
 	slots    []slotGov
 	capDepth int
@@ -123,11 +93,12 @@ type Governor struct {
 }
 
 // NewGovernor builds a governor over the manager's domains for up to
-// maxSlots resident tenants.
-func NewGovernor(m *Manager, maxSlots int, cfg GovernorConfig) *Governor {
+// maxSlots resident tenants, under a power budget of capW watts (0 =
+// uncapped; the cluster arbiter overrides it per epoch via SetCap).
+func NewGovernor(m *Manager, maxSlots int, capW float64) *Governor {
 	g := &Governor{
 		m:     m,
-		cfg:   cfg.withDefaults(),
+		cap:   capW,
 		slots: make([]slotGov, maxSlots),
 		desSM: make([]int, m.NumSMDomains()),
 		desCh: make([]int, m.NumChannels()),
@@ -139,10 +110,10 @@ func NewGovernor(m *Manager, maxSlots int, cfg GovernorConfig) *Governor {
 }
 
 // SetCap replaces the power budget (cluster arbitration path).
-func (g *Governor) SetCap(watts float64) { g.cfg.Cap = watts }
+func (g *Governor) SetCap(watts float64) { g.cap = watts }
 
 // Cap returns the current budget (0 = uncapped).
-func (g *Governor) Cap() float64 { return g.cfg.Cap }
+func (g *Governor) Cap() float64 { return g.cap }
 
 // Clamped reports whether the cap controller is at the frequency floor with
 // measured power still over budget.
@@ -193,34 +164,35 @@ func (g *Governor) Step(cycle uint64, slices []Slice) {
 		if st.gen != s.Gen {
 			*st = slotGov{gen: s.Gen}
 		}
+		// LC slices never have their SMs stepped down.
 		limSM := maxSM
 		if s.LC {
-			limSM = min(g.cfg.LCMaxStep, maxSM)
+			limSM = 0
 		}
-		if s.MemDegree >= g.cfg.MemHigh {
+		if s.MemDegree >= memHigh {
 			st.memStreak++
 		} else {
 			st.memStreak = 0
 		}
-		if s.MemDegree <= g.cfg.MemLow {
+		if s.MemDegree <= memLow {
 			st.upStreak++
 		} else {
 			st.upStreak = 0
 		}
 		if st.hold > 0 {
 			st.hold--
-		} else if st.memStreak >= g.cfg.StreakEpochs && st.smState < limSM {
+		} else if st.memStreak >= streakEpochs && st.smState < limSM {
 			st.smState++
-			st.hold = g.cfg.HoldEpochs
+			st.hold = holdEpochs
 			st.memStreak = 0
-		} else if st.upStreak >= g.cfg.StreakEpochs && st.smState > 0 {
+		} else if st.upStreak >= streakEpochs && st.smState > 0 {
 			st.smState--
-			st.hold = g.cfg.HoldEpochs
+			st.hold = holdEpochs
 			st.upStreak = 0
 		}
 		if st.smState > limSM {
-			// An LC tenant replaced a BE one mid-flight or the limit
-			// tightened; recover immediately.
+			// A slice reclassified LC under the same generation recovers
+			// immediately.
 			st.smState = limSM
 		}
 		// Channels: the mirror image. LC slices keep nominal bandwidth.
@@ -228,25 +200,25 @@ func (g *Governor) Step(cycle uint64, slices []Slice) {
 		if s.LC {
 			limCh = 0
 		}
-		if s.MemDegree <= g.cfg.ChanLow {
+		if s.MemDegree <= chanLow {
 			st.dnChan++
 		} else {
 			st.dnChan = 0
 		}
-		if s.MemDegree >= g.cfg.ChanHigh {
+		if s.MemDegree >= chanHigh {
 			st.upChan++
 		} else {
 			st.upChan = 0
 		}
 		if st.holdChan > 0 {
 			st.holdChan--
-		} else if st.dnChan >= g.cfg.StreakEpochs && st.chState < limCh {
+		} else if st.dnChan >= streakEpochs && st.chState < limCh {
 			st.chState++
-			st.holdChan = g.cfg.HoldEpochs
+			st.holdChan = holdEpochs
 			st.dnChan = 0
-		} else if st.upChan >= g.cfg.StreakEpochs && st.chState > 0 {
+		} else if st.upChan >= streakEpochs && st.chState > 0 {
 			st.chState--
-			st.holdChan = g.cfg.HoldEpochs
+			st.holdChan = holdEpochs
 			st.upChan = 0
 		}
 		if st.chState > limCh {
@@ -319,7 +291,7 @@ func (g *Governor) capExtra(maxSM, maxCh int) (beSM, beCh, lcSM, lcCh int) {
 // the budget, a hysteresis band so a borderline load does not oscillate, and
 // a single clamp-enter trace event when the floor cannot satisfy the cap.
 func (g *Governor) stepCap(cycle uint64) {
-	if g.cfg.Cap <= 0 {
+	if g.cap <= 0 {
 		g.capDepth = 0
 		if g.clamped {
 			g.clamped = false
@@ -329,18 +301,18 @@ func (g *Governor) stepCap(cycle uint64) {
 	}
 	p := g.m.EpochPower(cycle)
 	switch {
-	case p > g.cfg.Cap:
+	case p > g.cap:
 		if g.capDepth < g.maxDepth() {
 			g.capDepth++
 		} else if !g.clamped {
 			g.clamped = true
-			g.m.Emit(EventClampEnter, cycle, 0, int64(g.capDepth), int64(g.cfg.Cap))
+			g.m.Emit(EventClampEnter, cycle, 0, int64(g.capDepth), int64(g.cap))
 		}
-	case p <= g.cfg.Cap*g.cfg.CapHysteresis && g.capDepth > 0:
+	case p <= g.cap*capHysteresis && g.capDepth > 0:
 		g.capDepth--
 	}
-	if g.clamped && p <= g.cfg.Cap {
+	if g.clamped && p <= g.cap {
 		g.clamped = false
-		g.m.Emit(EventClampExit, cycle, 0, int64(g.capDepth), int64(g.cfg.Cap))
+		g.m.Emit(EventClampExit, cycle, 0, int64(g.capDepth), int64(g.cap))
 	}
 }

@@ -58,7 +58,7 @@ func (f *govFixture) clampEvents() (enter, exit int) {
 // later restores its domains to nominal.
 func TestGovernorZeroTenantsParksFloor(t *testing.T) {
 	f := newGovFixture(t, Config{})
-	g := NewGovernor(f.m, 4, GovernorConfig{})
+	g := NewGovernor(f.m, 4, 0)
 	f.step(g, 5000, nil)
 	floorSM := len(f.m.SMStates()) - 1
 	floorCh := len(f.m.HBMStates()) - 1
@@ -99,7 +99,7 @@ func TestGovernorSingleStateNoOp(t *testing.T) {
 		HBMStates: DefaultHBMStates()[:1],
 	})
 	f.busy = 4
-	g := NewGovernor(f.m, 4, GovernorConfig{Cap: 1}) // absurdly tight cap
+	g := NewGovernor(f.m, 4, 1) // absurdly tight cap
 	slices := []Slice{
 		{Slot: 0, Gen: 1, MemDegree: 3.0, SMDomains: []int{0, 1}, Channels: []int{0}},
 		{Slot: 1, Gen: 2, LC: true, MemDegree: 0.1, SMDomains: []int{2}, Channels: []int{1}},
@@ -122,11 +122,11 @@ func TestGovernorSingleStateNoOp(t *testing.T) {
 
 // TestGovernorMemoryBoundDownclocksSMs: a persistently memory-bound BE slice
 // has its SM domains stepped down after the classification streak, while its
-// channels (demand above ChanLow) stay nominal; a compute-bound slice is the
+// channels (demand above chanLow) stay nominal; a compute-bound slice is the
 // mirror image.
 func TestGovernorClassificationSteps(t *testing.T) {
 	f := newGovFixture(t, Config{})
-	g := NewGovernor(f.m, 4, GovernorConfig{})
+	g := NewGovernor(f.m, 4, 0)
 	memBound := Slice{Slot: 0, Gen: 1, MemDegree: 2.0, SMDomains: []int{0}, Channels: []int{0}}
 	compute := Slice{Slot: 1, Gen: 2, MemDegree: 0.2, SMDomains: []int{1}, Channels: []int{1}}
 	for i := 0; i < 8; i++ {
@@ -144,8 +144,8 @@ func TestGovernorClassificationSteps(t *testing.T) {
 	if got := f.m.ChannelState(1); got == 0 {
 		t.Error("compute-bound slice's channel still at nominal after 8 epochs")
 	}
-	// Degrees normalize to 0.8 — below MemLow (SMs recover) and above
-	// ChanHigh (channels recover): both slices return to nominal.
+	// Degrees normalize to 0.8 — below memLow (SMs recover) and above
+	// chanHigh (channels recover): both slices return to nominal.
 	memBound.MemDegree, compute.MemDegree = 0.8, 0.8
 	for i := 0; i < 8; i++ {
 		f.step(g, 5000, []Slice{memBound, compute})
@@ -167,7 +167,7 @@ func TestGovernorCapShavesBEBeforeLC(t *testing.T) {
 	f.busy = 4 // every domain fully busy: high measured power
 	be := Slice{Slot: 0, Gen: 1, MemDegree: 1.0, SMDomains: []int{0}, Channels: []int{0}}
 	lc := Slice{Slot: 1, Gen: 2, LC: true, MemDegree: 1.0, SMDomains: []int{1}, Channels: []int{1}}
-	g := NewGovernor(f.m, 4, GovernorConfig{Cap: 50}) // far below measured
+	g := NewGovernor(f.m, 4, 50) // far below measured
 	maxSM := len(f.m.SMStates()) - 1
 	maxCh := len(f.m.HBMStates()) - 1
 	// Walk the cap depth until the BE slice is at both floors.
@@ -194,7 +194,7 @@ func TestGovernorCapShavesBEBeforeLC(t *testing.T) {
 	// even though the efficiency pass never touches LC.
 	f2 := newGovFixture(t, Config{})
 	f2.busy = 4
-	g2 := NewGovernor(f2.m, 4, GovernorConfig{Cap: 50})
+	g2 := NewGovernor(f2.m, 4, 50)
 	lcs := []Slice{
 		{Slot: 0, Gen: 1, LC: true, MemDegree: 1.0, SMDomains: []int{0}, Channels: []int{0}},
 		{Slot: 1, Gen: 2, LC: true, MemDegree: 1.0, SMDomains: []int{1}, Channels: []int{1}},
@@ -216,7 +216,7 @@ func TestGovernorCapShavesBEBeforeLC(t *testing.T) {
 func TestGovernorClampSingleEvent(t *testing.T) {
 	f := newGovFixture(t, Config{})
 	f.busy = 1
-	g := NewGovernor(f.m, 4, GovernorConfig{Cap: 0.001}) // below static power
+	g := NewGovernor(f.m, 4, 0.001) // below static power
 	s := Slice{Slot: 0, Gen: 1, MemDegree: 1.0, SMDomains: []int{0}, Channels: []int{0}}
 	for i := 0; i < 30; i++ {
 		f.step(g, 5000, []Slice{s})
@@ -255,7 +255,7 @@ func TestGovernorClampSingleEvent(t *testing.T) {
 // and state do not leak.
 func TestGovernorGenerationResetsHysteresis(t *testing.T) {
 	f := newGovFixture(t, Config{})
-	g := NewGovernor(f.m, 4, GovernorConfig{})
+	g := NewGovernor(f.m, 4, 0)
 	memBound := Slice{Slot: 0, Gen: 1, MemDegree: 2.0, SMDomains: []int{0}, Channels: []int{0}}
 	for i := 0; i < 8; i++ {
 		f.step(g, 5000, []Slice{memBound})
@@ -278,7 +278,7 @@ func TestGovernorGenerationResetsHysteresis(t *testing.T) {
 // domains to nominal), and clears back to governed behavior.
 func TestGovernorStateFloorApplied(t *testing.T) {
 	f := newGovFixture(t, Config{})
-	g := NewGovernor(f.m, 4, GovernorConfig{})
+	g := NewGovernor(f.m, 4, 0)
 	// Compute-bound slice: without a floor the governor keeps SMs at nominal.
 	s := Slice{Slot: 0, Gen: 1, MemDegree: 0.2, SMDomains: []int{0, 1}, Channels: []int{0}}
 	f.step(g, 5000, []Slice{s})
@@ -319,7 +319,7 @@ func TestGovernorStateFloorApplied(t *testing.T) {
 // negative floors are treated as zero.
 func TestGovernorStateFloorClamped(t *testing.T) {
 	f := newGovFixture(t, Config{})
-	g := NewGovernor(f.m, 4, GovernorConfig{})
+	g := NewGovernor(f.m, 4, 0)
 	maxSM := len(f.m.SMStates()) - 1
 	maxCh := len(f.m.HBMStates()) - 1
 	s := Slice{Slot: 0, Gen: 1, MemDegree: 1.0, SMDomains: []int{0}, Channels: []int{0}}
@@ -345,7 +345,7 @@ func TestGovernorStateFloorClamped(t *testing.T) {
 func TestGovernorStateFloorComposesWithCap(t *testing.T) {
 	f := newGovFixture(t, Config{})
 	f.busy = 4
-	g := NewGovernor(f.m, 4, GovernorConfig{Cap: 50})
+	g := NewGovernor(f.m, 4, 50)
 	g.SetStateFloor(2, 1)
 	s := Slice{Slot: 0, Gen: 1, MemDegree: 1.0, SMDomains: []int{0}, Channels: []int{0}}
 	for i := 0; i < 12; i++ {

@@ -66,18 +66,17 @@ func DefaultHBMStates() []PState {
 	}
 }
 
-// EnergyWeights mirrors the event-energy model of internal/metrics (which
-// converts its EnergyModel to this struct via PowerWeights); the duplication
-// is pinned by a cross-package equality test. Units are arbitrary
-// "energy units"; WattsPerUnit calibrates them to watts.
+// EnergyWeights are the event-energy model's per-event weights, shared with
+// the post-hoc Figure 12b model of internal/metrics. Units are arbitrary
+// "energy units"; DefaultWattsPerUnit calibrates them to watts.
 type EnergyWeights struct {
-	SMActiveCycle float64
-	SMIdleCycle   float64
-	CoreStatic    float64
+	SMActiveCycle float64 // dynamic + per-SM static, per active cycle
+	SMIdleCycle   float64 // static of an idle SM
+	CoreStatic    float64 // per cycle: NoC, LLC, scheduler static
 	DRAMActivate  float64
-	DRAMAccess    float64
-	DRAMMigration float64
-	DRAMStatic    float64
+	DRAMAccess    float64 // per read/write burst
+	DRAMMigration float64 // per MIGRATION command
+	DRAMStatic    float64 // per channel-cycle
 }
 
 // DefaultWeights returns the model's calibrated weights (Fig 12b shape:
@@ -133,22 +132,15 @@ const (
 	EventClampExit
 )
 
-// Config selects the DVFS tables and model constants. The zero value of any
-// field falls back to the package default.
+// Config selects the DVFS tables. A nil table falls back to the package
+// default; the model constants (DefaultSMsPerDomain,
+// DefaultTransitionCycles, DefaultWeights, DefaultWattsPerUnit) are fixed.
 type Config struct {
 	// SMStates and HBMStates are the per-domain operating-point tables
 	// (state 0 must be nominal 1/1). A single-entry table freezes that
 	// domain kind at nominal: the governor has nothing to choose.
 	SMStates  []PState
 	HBMStates []PState
-	// SMsPerDomain is the SM frequency-domain granularity.
-	SMsPerDomain int
-	// TransitionCycles is the state-change latency in cycles.
-	TransitionCycles uint64
-	// Weights is the event-energy model (zero value: DefaultWeights).
-	Weights EnergyWeights
-	// WattsPerUnit calibrates energy units/cycle to watts.
-	WattsPerUnit float64
 }
 
 func (c Config) withDefaults() Config {
@@ -157,18 +149,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HBMStates == nil {
 		c.HBMStates = DefaultHBMStates()
-	}
-	if c.SMsPerDomain <= 0 {
-		c.SMsPerDomain = DefaultSMsPerDomain
-	}
-	if c.TransitionCycles == 0 {
-		c.TransitionCycles = DefaultTransitionCycles
-	}
-	if c.Weights == (EnergyWeights{}) {
-		c.Weights = DefaultWeights()
-	}
-	if c.WattsPerUnit == 0 {
-		c.WattsPerUnit = DefaultWattsPerUnit
 	}
 	return c
 }
@@ -258,12 +238,12 @@ func NewManager(numSMs, numChannels int, cfg Config, tr *trace.Tracer) (*Manager
 		return nil, fmt.Errorf("power: geometry %d SMs / %d channels is not positive", numSMs, numChannels)
 	}
 	m := &Manager{cfg: cfg, tr: tr}
-	nDom := (numSMs + cfg.SMsPerDomain - 1) / cfg.SMsPerDomain
+	nDom := (numSMs + DefaultSMsPerDomain - 1) / DefaultSMsPerDomain
 	m.smDomOf = make([]int32, numSMs)
 	m.smSize = make([]int, nDom)
 	for i := range m.smDomOf {
-		m.smDomOf[i] = int32(i / cfg.SMsPerDomain)
-		m.smSize[i/cfg.SMsPerDomain]++
+		m.smDomOf[i] = int32(i / DefaultSMsPerDomain)
+		m.smSize[i/DefaultSMsPerDomain]++
 	}
 	m.smDom = make([]domain, nDom)
 	m.chDom = make([]domain, numChannels)
@@ -311,9 +291,6 @@ func (m *Manager) ChannelState(ch int) int { return m.chDom[ch].state }
 
 // Transitions is the total number of domain state changes so far.
 func (m *Manager) Transitions() uint64 { return m.transitions }
-
-// WattsPerUnit exposes the calibration constant.
-func (m *Manager) WattsPerUnit() float64 { return m.cfg.WattsPerUnit }
 
 // SMAllNominal reports that every SM domain is on the nominal fast path
 // (no throttle, no transition window): the GPU's tick loop may skip the
@@ -429,8 +406,8 @@ func (m *Manager) Sample(cycle uint64) {
 }
 
 // SetSMState moves an SM domain to the given operating point. Legal only at
-// epoch boundaries (after Sample); the gate closes for TransitionCycles.
-// A no-op when the domain is already there.
+// epoch boundaries (after Sample); the gate closes for
+// DefaultTransitionCycles. A no-op when the domain is already there.
 func (m *Manager) SetSMState(cycle uint64, dom, state int) {
 	d := &m.smDom[dom]
 	if state == d.state {
@@ -441,7 +418,7 @@ func (m *Manager) SetSMState(cycle uint64, dom, state int) {
 	s := m.cfg.SMStates[state]
 	d.state = state
 	d.num, d.den = uint32(s.Num), uint32(s.Den)
-	d.until = cycle + m.cfg.TransitionCycles
+	d.until = cycle + DefaultTransitionCycles
 	if d.full {
 		d.full = false
 		m.smNotFull++
@@ -463,7 +440,7 @@ func (m *Manager) SetChannelState(cycle uint64, ch, state int) {
 	s := m.cfg.HBMStates[state]
 	d.state = state
 	d.num, d.den = uint32(s.Num), uint32(s.Den)
-	d.until = cycle + m.cfg.TransitionCycles
+	d.until = cycle + DefaultTransitionCycles
 	d.full = false
 	m.transitions++
 	if m.hooks.ChannelState != nil {
@@ -495,7 +472,7 @@ type Breakdown struct {
 // energyMetered sums the attributed dynamic+static energy of all domains
 // (excludes migration and un-sampled residual).
 func (m *Manager) energyMetered() float64 {
-	w := m.cfg.Weights
+	w := DefaultWeights()
 	var e float64
 	for i := range m.smDom {
 		d := &m.smDom[i]
@@ -523,7 +500,7 @@ func (m *Manager) energyMetered() float64 {
 // breakdown; migratedLines adds the (un-domained) migration transfer energy.
 func (m *Manager) Report(cycle uint64, migratedLines uint64) Breakdown {
 	m.Sample(cycle)
-	w := m.cfg.Weights
+	w := DefaultWeights()
 	var core, hbm float64
 	for i := range m.smDom {
 		d := &m.smDom[i]
@@ -558,7 +535,7 @@ func (m *Manager) EpochPower(cycle uint64) float64 {
 		return m.lastPower
 	}
 	e := m.energyMetered()
-	m.lastPower = (e - m.lastPowerE) / float64(cycle-m.lastPowerAt) * m.cfg.WattsPerUnit
+	m.lastPower = (e - m.lastPowerE) / float64(cycle-m.lastPowerAt) * DefaultWattsPerUnit
 	m.lastPowerE = e
 	m.lastPowerAt = cycle
 	return m.lastPower

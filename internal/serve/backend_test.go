@@ -26,11 +26,8 @@ func TestConfigValidateFieldErrors(t *testing.T) {
 		mut   func(*Config)
 		field string
 	}{
-		{"negative MaxResident", func(c *Config) { c.MaxResident = -1 }, "serve.MaxResident"},
 		{"negative QueueCap", func(c *Config) { c.QueueCap = -3 }, "serve.QueueCap"},
-		{"negative LoadThreshold", func(c *Config) { c.LoadThreshold = -0.5 }, "serve.LoadThreshold"},
-		{"negative LC target", func(c *Config) { c.SLO.LCSlowdown = -1; c.SLO.BESlowdown = 16 }, "serve.SLO.LCSlowdown"},
-		{"negative BE target", func(c *Config) { c.SLO.LCSlowdown = 6; c.SLO.BESlowdown = -1 }, "serve.SLO.BESlowdown"},
+		{"negative PowerCap", func(c *Config) { c.PowerCap = -1 }, "serve.PowerCap"},
 	}
 	for _, tc := range cases {
 		cfg := backendConfig(t)

@@ -73,6 +73,14 @@ func ParsePolicy(s string) (Policy, error) {
 // Policies lists every admission policy in presentation order.
 func Policies() []Policy { return []Policy{InOrder, ClassAware, LoadAware} }
 
+const (
+	// maxResident bounds concurrently resident tenants.
+	maxResident = 4
+	// loadThreshold is the DRAM lines/channel/cycle level above which
+	// LoadAware defers memory-bound best-effort admission.
+	loadThreshold = 0.10
+)
+
 // Config parameterises one serve run.
 type Config struct {
 	// Sim is the simulator configuration; MaxCycles is the serving horizon
@@ -88,16 +96,9 @@ type Config struct {
 	Jobs []workload.Job
 	// Policy is the admission/placement discipline.
 	Policy Policy
-	// SLO sets the per-class slowdown targets (zero value: metrics.DefaultSLO).
-	SLO metrics.SLOSpec
-	// MaxResident bounds concurrently resident tenants (default 4).
-	MaxResident int
 	// QueueCap bounds each class queue; arrivals beyond it are rejected
 	// (default 16).
 	QueueCap int
-	// LoadThreshold is the DRAM lines/channel/cycle level above which
-	// LoadAware defers memory-bound best-effort admission (default 0.10).
-	LoadThreshold float64
 	// Alone supplies solo-IPC references; nil builds one from Sim/Opt.
 	// Sweeps share one instance so each benchmark is measured once.
 	Alone *metrics.AloneIPC
@@ -110,32 +111,16 @@ type Config struct {
 // Validate checks the serving capacity knobs before any GPU is built,
 // returning a *config.FieldError naming the first violated constraint (the
 // same typed error cluster.New surfaces for simulator geometry), or nil.
-// Zero values mean "use the default" and pass; negative capacities, rates,
-// and thresholds never do — rejecting them here fails fast instead of
+// Zero values mean "use the default" and pass; negative capacities and
+// rates never do — rejecting them here fails fast instead of
 // wedging the admission loop with a queue that can never hold a job.
 func (c Config) Validate() error {
 	if err := c.Sim.Validate(); err != nil {
 		return err
 	}
-	if c.MaxResident < 0 {
-		return &config.FieldError{Field: "serve.MaxResident", Value: c.MaxResident,
-			Reason: "must be >= 0 (0 means the default of 4)"}
-	}
 	if c.QueueCap < 0 {
 		return &config.FieldError{Field: "serve.QueueCap", Value: c.QueueCap,
 			Reason: "must be >= 0 (0 means the default of 16)"}
-	}
-	if c.LoadThreshold < 0 {
-		return &config.FieldError{Field: "serve.LoadThreshold", Value: c.LoadThreshold,
-			Reason: "must be >= 0 (0 means the default of 0.10)"}
-	}
-	if c.SLO.LCSlowdown < 0 {
-		return &config.FieldError{Field: "serve.SLO.LCSlowdown", Value: c.SLO.LCSlowdown,
-			Reason: "must be >= 0 (zero SLOSpec means metrics.DefaultSLO)"}
-	}
-	if c.SLO.BESlowdown < 0 {
-		return &config.FieldError{Field: "serve.SLO.BESlowdown", Value: c.SLO.BESlowdown,
-			Reason: "must be >= 0 (zero SLOSpec means metrics.DefaultSLO)"}
 	}
 	if c.PowerCap < 0 {
 		return &config.FieldError{Field: "serve.PowerCap", Value: int(c.PowerCap),
@@ -150,20 +135,8 @@ func (c Config) Validate() error {
 }
 
 func (c *Config) withDefaults() {
-	if c.MaxResident <= 0 {
-		c.MaxResident = 4
-	}
-	if c.MaxResident > gpu.MaxApps {
-		c.MaxResident = gpu.MaxApps
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 16
-	}
-	if c.LoadThreshold <= 0 {
-		c.LoadThreshold = 0.10
-	}
-	if c.SLO == (metrics.SLOSpec{}) {
-		c.SLO = metrics.DefaultSLO()
 	}
 	if c.Alone == nil {
 		c.Alone = metrics.NewAloneIPC(c.Sim, c.Opt)
@@ -287,7 +260,8 @@ func New(cfg Config) (*Server, error) {
 // GPU exposes the device (tests).
 func (s *Server) GPU() *gpu.GPU { return s.g }
 
-// Run executes the serve loop to the horizon and folds the outcomes.
+// Run executes the serve loop to the horizon, one StepEpoch per epoch, and
+// folds the outcomes.
 func (s *Server) Run() (*Report, error) {
 	horizon := uint64(s.cfg.Sim.MaxCycles)
 	epoch := uint64(s.cfg.Sim.EpochCycles)
@@ -295,18 +269,9 @@ func (s *Server) Run() (*Report, error) {
 		epoch = horizon
 	}
 	for s.g.Cycle() < horizon {
-		step := epoch
-		if rem := horizon - s.g.Cycle(); rem < step {
-			step = rem
-		}
-		if err := s.g.RunChecked(step); err != nil {
+		if err := s.StepEpoch(min(epoch, horizon-s.g.Cycle())); err != nil {
 			return nil, err
 		}
-		if err := s.boundary(int(s.g.Cycle())); err != nil {
-			return nil, err
-		}
-		s.epochs++
-		s.maybeDigest()
 	}
 	return s.report(), nil
 }
@@ -369,14 +334,18 @@ func (s *Server) boundary(cycle int) error {
 			if s.canAdmit() {
 				break
 			}
-			if !s.preemptOneBE(cycle) {
+			ok, err := s.preemptOneBE(cycle)
+			if err != nil {
+				return err
+			}
+			if !ok {
 				break
 			}
 		}
 	}
 
 	// Admission: drain the policy-ordered queue while capacity lasts.
-	highLoad := s.dramLoad() > s.cfg.LoadThreshold
+	highLoad := s.dramLoad() > loadThreshold
 	for s.canAdmit() {
 		js := s.nextCandidate(highLoad)
 		if js == nil {
@@ -411,7 +380,7 @@ func (s *Server) stepPower(cycle uint64) {
 		return
 	}
 	if s.gov == nil {
-		s.gov = power.NewGovernor(pm, gpu.MaxApps, power.GovernorConfig{Cap: s.cfg.PowerCap})
+		s.gov = power.NewGovernor(pm, gpu.MaxApps, s.cfg.PowerCap)
 	}
 	// Re-assert the gray-degradation floor every boundary: it covers the
 	// lazily created governor above and survives any cap/floor churn.
@@ -473,8 +442,8 @@ func (s *Server) detach(cycle, slot int) error {
 
 // preemptOneBE evicts the most recently admitted best-effort tenant and
 // requeues its job (front of the BE queue, progress retained). It reports
-// whether a victim existed.
-func (s *Server) preemptOneBE(cycle int) bool {
+// whether a victim existed, and fails when the GPU refuses to detach it.
+func (s *Server) preemptOneBE(cycle int) (bool, error) {
 	victim := -1
 	for slot, js := range s.resident {
 		if js == nil || js.job.Class != workload.BestEffort {
@@ -485,11 +454,11 @@ func (s *Server) preemptOneBE(cycle int) bool {
 		}
 	}
 	if victim < 0 {
-		return false
+		return false, nil
 	}
 	js := s.resident[victim]
 	if err := s.g.BeginDetach(uint64(cycle), victim); err != nil {
-		return false
+		return false, err
 	}
 	// Bugfix (ISSUE 4): count the preemption only after BeginDetach
 	// succeeds. The old order incremented first and left the counters
@@ -503,7 +472,7 @@ func (s *Server) preemptOneBE(cycle int) bool {
 	s.resident[victim] = nil
 	s.detaches++
 	s.beQ = append([]*jobState{js}, s.beQ...)
-	return true
+	return true, nil
 }
 
 // activeSlots lists slots with a resident tenant, ascending.
@@ -532,7 +501,7 @@ func (s *Server) hasSlot() bool {
 // and at least one SM (free or carvable from a multi-SM resident).
 func (s *Server) canAdmit() bool {
 	actives := len(s.activeSlots())
-	if actives >= s.cfg.MaxResident {
+	if actives >= maxResident {
 		return false
 	}
 	if !s.hasSlot() {
@@ -793,51 +762,26 @@ func (s *Server) repartition(cycle int) error {
 
 	avail := s.g.AvailableSMs()
 	base, rem := avail/len(actives), avail%len(actives)
-	target := make(map[int]int, len(actives))
+	apps := s.g.Apps()
+	want := make([]int, len(apps))
+	for i := range want {
+		want[i] = -1
+	}
 	for i, slot := range actives {
-		target[slot] = base
+		want[slot] = base
 		if i < rem {
-			target[slot]++
+			want[slot]++
 		}
 	}
 	// Free pool first.
 	for _, slot := range actives {
-		app := s.g.Apps()[slot]
-		if cur := len(app.SMs) + app.Inbound(); cur < target[slot] {
-			s.g.GrantSMs(uint64(cycle), slot, target[slot]-cur)
+		app := apps[slot]
+		if cur := len(app.SMs) + app.Inbound(); cur < want[slot] {
+			s.g.GrantSMs(uint64(cycle), slot, want[slot]-cur)
 		}
 	}
-	// Then drain/switch between residents (ApplyPartition's greedy loop).
-	for iter := 0; iter < len(actives)*s.cfg.Sim.NumSMs; iter++ {
-		give, take, surplus, deficit := -1, -1, 0, 0
-		for _, slot := range actives {
-			app := s.g.Apps()[slot]
-			diff := len(app.SMs) + app.Inbound() - target[slot]
-			if diff > surplus {
-				give, surplus = slot, diff
-			}
-			if -diff > deficit {
-				take, deficit = slot, -diff
-			}
-		}
-		if give < 0 || take < 0 {
-			break
-		}
-		n := surplus
-		if deficit < n {
-			n = deficit
-		}
-		if max := len(s.g.Apps()[give].SMs) - 1; n > max {
-			n = max
-		}
-		if n <= 0 {
-			break
-		}
-		if err := s.g.MoveSMs(uint64(cycle), give, take, n); err != nil {
-			return err
-		}
-	}
-	return nil
+	// Then drain/switch between residents.
+	return s.g.BalanceSMs(uint64(cycle), want)
 }
 
 // report folds observed outcomes.
@@ -864,7 +808,7 @@ func (s *Server) report() *Report {
 			Preemptions: js.preempts,
 		})
 	}
-	r.SLO = metrics.BuildSLOReport(r.Outcomes, s.cfg.SLO, s.cfg.Sim.MaxCycles)
+	r.SLO = metrics.BuildSLOReport(r.Outcomes, metrics.DefaultSLO(), s.cfg.Sim.MaxCycles)
 	r.Served = s.served
 	if len(s.digestChain) > 0 {
 		r.Digest = s.digestChain
@@ -873,7 +817,7 @@ func (s *Server) report() *Report {
 	if pm := s.g.PowerManager(); pm != nil {
 		r.Energy = s.g.PowerReport()
 		if c := s.g.Cycle(); c > 0 {
-			r.MeanPower = r.Energy.Total / float64(c) * pm.WattsPerUnit()
+			r.MeanPower = r.Energy.Total / float64(c) * power.DefaultWattsPerUnit
 		}
 	}
 	return r

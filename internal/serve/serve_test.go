@@ -2,6 +2,7 @@ package serve
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"ugpu/internal/config"
@@ -148,7 +149,7 @@ func TestServePreemptionAndPolicyOrder(t *testing.T) {
 			})
 		}
 		return Config{
-			Sim: cfg, Opt: testOpt(), Policy: pol, MaxResident: 4,
+			Sim: cfg, Opt: testOpt(), Policy: pol,
 			Alone: primedAlone(cfg, testOpt()),
 			Jobs:  workload.Trace(entries),
 		}
@@ -205,7 +206,7 @@ func TestServeRejectionOnFullQueue(t *testing.T) {
 		})
 	}
 	s, err := New(Config{
-		Sim: cfg, Opt: testOpt(), Policy: InOrder, MaxResident: 2, QueueCap: 3,
+		Sim: cfg, Opt: testOpt(), Policy: InOrder, QueueCap: 3,
 		Alone: primedAlone(cfg, testOpt()),
 		Jobs:  workload.Trace(entries),
 	})
@@ -216,7 +217,7 @@ func TestServeRejectionOnFullQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 12 arrivals, 2 resident + 3 queued: the rest must be rejected.
+	// 12 arrivals, 4 resident + 3 queued: the rest must be rejected.
 	if rep.Rejections < 5 {
 		t.Fatalf("rejections = %d, want >= 5 (queue cap 3, 12 arrivals)", rep.Rejections)
 	}
@@ -296,14 +297,14 @@ func TestSplitGroups(t *testing.T) {
 func TestServeOverloadCounterCoherence(t *testing.T) {
 	cfg := testSim()
 	cfg.MaxCycles = 150_000
-	// BE-heavy stream on a two-slot machine: long best-effort jobs occupy
-	// both slots, latency-critical arrivals preempt them, the evicted jobs
+	// BE-heavy stream past the maxResident slots: long best-effort jobs
+	// occupy them, latency-critical arrivals preempt them, the evicted jobs
 	// readmit after the LC burst drains, and the tight queues reject the
 	// excess. Seed 6 deterministically produces all three event kinds.
 	c := Config{
 		Sim: cfg, Opt: testOpt(), Policy: ClassAware, Seed: 6,
-		MaxResident: 2, QueueCap: 2,
-		Alone: primedAlone(cfg, testOpt()),
+		QueueCap: 2,
+		Alone:    primedAlone(cfg, testOpt()),
 		Arrivals: workload.ArrivalSpec{
 			Horizon: 100_000, MeanGap: 4_000, LCFraction: 0.3,
 			MinLen: 20_000, MaxLen: 40_000,
@@ -359,10 +360,61 @@ func TestServeOverloadCounterCoherence(t *testing.T) {
 		t.Fatalf("no preempted job was readmitted; the double-count hazard was never exercised")
 	}
 	resident := rep.Attaches - rep.Detaches
-	if resident < 0 || resident > c.MaxResident {
-		t.Fatalf("attaches-detaches = %d, want a resident count in [0, %d]", resident, c.MaxResident)
+	if resident < 0 || resident > maxResident {
+		t.Fatalf("attaches-detaches = %d, want a resident count in [0, %d]", resident, maxResident)
 	}
 	if err := s.GPU().CheckInvariants(); err != nil {
 		t.Fatalf("final invariants: %v", err)
+	}
+}
+
+// TestPreemptionDetachFailureSurfaces: when the GPU no longer holds the
+// preemption victim's slot as active, the refused BeginDetach fails the
+// boundary instead of silently ending preemption.
+func TestPreemptionDetachFailureSurfaces(t *testing.T) {
+	cfg := backendConfig(t)
+	cfg.Policy = ClassAware
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill every resident slot with best-effort work, so the LC arrival
+	// below must preempt.
+	for id := 0; id < maxResident; id++ {
+		be := Resume{
+			Job:   workload.Job{ID: id, Bench: mustBench(t, "PVC"), Class: workload.BestEffort, AloneCycles: 100_000},
+			Start: -1,
+		}
+		if !s.Offer(0, be, false) {
+			t.Fatalf("backend refused best-effort job %d", id)
+		}
+	}
+	epoch := uint64(s.cfg.Sim.EpochCycles)
+	if err := s.StepEpoch(epoch); err != nil {
+		t.Fatal(err)
+	}
+	// The victim is the most recently admitted; detach its slot behind the
+	// server's back.
+	victim := s.jobs[maxResident-1]
+	if victim.slot < 0 || len(s.activeSlots()) != maxResident {
+		t.Fatalf("machine not full: %d residents, victim slot %d", len(s.activeSlots()), victim.slot)
+	}
+	cycle := s.g.Cycle()
+	if err := s.g.BeginDetach(cycle, victim.slot); err != nil {
+		t.Fatal(err)
+	}
+	lc := Resume{
+		Job:   workload.Job{ID: maxResident, Bench: mustBench(t, "DXTC"), Class: workload.LatencyCritical, Arrival: int(cycle), AloneCycles: 20_000},
+		Start: -1,
+	}
+	if !s.Offer(int(cycle), lc, false) {
+		t.Fatal("backend refused the latency-critical job")
+	}
+	err = s.StepEpoch(epoch)
+	if err == nil || !strings.Contains(err.Error(), "detach of app") {
+		t.Fatalf("StepEpoch = %v, want the refused preemption detach", err)
+	}
+	if s.preemptions != 0 {
+		t.Fatalf("preemptions = %d after a refused detach, want 0", s.preemptions)
 	}
 }

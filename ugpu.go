@@ -385,7 +385,7 @@ type CrashOutcome = metrics.CrashOutcome
 // controller. Enable by setting Options.Power (e.g. to &PowerConfig{});
 // byte-identity across -parallel and fast-forward on/off is preserved.
 
-// PowerConfig selects the DVFS tables and model constants (zero fields take
+// PowerConfig selects the DVFS operating-point tables (nil tables take the
 // package defaults).
 type PowerConfig = power.Config
 
@@ -395,9 +395,6 @@ type PState = power.PState
 // PowerBreakdown is the DVFS-scaled energy report of a run.
 type PowerBreakdown = power.Breakdown
 
-// PowerGovernorConfig tunes the per-GPU DVFS governor and cap controller.
-type PowerGovernorConfig = power.GovernorConfig
-
 // Power model defaults.
 var (
 	// DefaultSMStates is the SM-domain operating-point table (nominal plus
@@ -406,7 +403,7 @@ var (
 	// DefaultHBMStates is the HBM-channel operating-point table.
 	DefaultHBMStates = power.DefaultHBMStates
 	// DefaultPowerWeights returns the event-energy weights the meter
-	// attributes per operating state (equal to DefaultEnergy's).
+	// attributes per operating state (DefaultEnergy's table).
 	DefaultPowerWeights = power.DefaultWeights
 )
 
