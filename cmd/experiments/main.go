@@ -13,22 +13,23 @@
 //	            [-trace] [-trace-out path] [-trace-filter spec] [-pprof prefix]
 //	            [-v]
 //
-// Every figure is a sweep of independent simulations fanned out through
-// internal/parallel; -parallel bounds the worker pool (0 = GOMAXPROCS,
-// 1 = serial). Output is byte-identical for any worker count.
+// Every figure is a sweep of independent simulations run by one sweep
+// runner (internal/experiments/sweep.go) on an internal/parallel worker
+// pool; -parallel bounds the pool (0 = GOMAXPROCS, 1 = serial). Output is
+// byte-identical for any worker count.
 //
-// -trace attaches a deterministic event tracer to every simulation of the
-// sweep figures (faults, serve, failover, gray, power) and writes the
-// events as JSONL to -trace-out (default trace.jsonl; a .json extension
-// converts to Chrome trace_event format loadable in chrome://tracing or
-// Perfetto). -trace-filter selects categories and minimum severity
-// ("migration,fault,sev=warn"); the JSONL is byte-identical at any
-// -parallel count. -pprof writes
+// -trace attaches a deterministic event tracer to every simulation of every
+// figure (paper figures and the faults, serve, failover, gray and power
+// sweeps alike) and writes the events as JSONL to -trace-out (default
+// trace.jsonl; a .json extension converts to Chrome trace_event format
+// loadable in chrome://tracing or Perfetto). -trace-filter selects
+// categories and minimum severity ("migration,fault,sev=warn"); the JSONL
+// is byte-identical at any -parallel count. -pprof writes
 // <prefix>.cpu.pprof and <prefix>.mem.pprof runtime profiles.
 //
 // -digest records a per-epoch machine-state digest chain in every
 // simulation (-digest-every N thins it to every Nth epoch) and appends the
-// folded chain to the sweep figures' notes: two invocations that differ only
+// folded chain to every figure's notes: two invocations that differ only
 // in execution mode (-parallel count, -no-fastforward, -trace) must print
 // the same digest, and `make smoke` asserts exactly that. -bisect A,B
 // localizes a divergence between two mode arms ('+'-joined tokens from ff,
@@ -159,11 +160,11 @@ func main() {
 		probeEpochs = flag.Int("probe-epochs", 0, "gray figure: clean probe epochs before a quarantined GPU re-admits LC work (0 = the default 4)")
 		ckptEvery   = flag.Int("checkpoint-every", 0, "failover figure: checkpoint interval in cycles (0 = 2 epochs)")
 		brownout    = flag.Bool("brownout", true, "failover figure: include the tiered-brownout arm")
-		traceOn     = flag.Bool("trace", false, "record deterministic event traces for the sweep figures (faults, serve, failover, gray, power)")
+		traceOn     = flag.Bool("trace", false, "record deterministic event traces for every simulation of every figure")
 		traceOut    = flag.String("trace-out", "", "trace output path (implies -trace; default trace.jsonl; .json converts to Chrome trace_event)")
 		traceFilter = flag.String("trace-filter", "", "trace category/severity filter, e.g. \"migration,fault,sev=warn\" (empty = everything)")
 		noFastFwd   = flag.Bool("no-fastforward", false, "disable the event-driven fast-forward engine that skips provably-dead cycles and idle SMs (results are byte-identical either way)")
-		digestOn    = flag.Bool("digest", false, "record per-epoch machine-state digest chains and print them in sweep notes")
+		digestOn    = flag.Bool("digest", false, "record per-epoch machine-state digest chains and print them in every figure's notes")
 		digestEvery = flag.Int("digest-every", 0, "record a state digest every N epochs (implies -digest; 0 with -digest means every epoch)")
 		bisect      = flag.String("bisect", "", "localize a state divergence between two mode arms, e.g. \"ff,noff\" or \"ff+trace,noff\" (tokens: ff, noff, trace, notrace)")
 		pprofPrefix = flag.String("pprof", "", "write <prefix>.cpu.pprof and <prefix>.mem.pprof runtime profiles")
@@ -237,7 +238,7 @@ func main() {
 		return
 	}
 
-	// Tracing: the sweeps stream JSONL into an in-memory buffer (runs are
+	// Tracing: the figures stream JSONL into an in-memory buffer (runs are
 	// laptop-scale) which finish() writes to disk, converting to Chrome
 	// trace_event format when the path ends in .json.
 	tracePath := *traceOut

@@ -24,7 +24,6 @@ package clusterserve
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"ugpu/internal/config"
@@ -919,32 +918,4 @@ func (f *Frontend) report(cycle uint64) *Report {
 		r.SLO.StateDigest = f.digestChain.Final()
 	}
 	return r
-}
-
-// WriteTrace writes the merged trace: the frontend stream as task base,
-// then each backend stream as task base+1+GPU index, every stream prefixed
-// by its {"task":N} header (base lets multi-arm figures keep task ids
-// distinct). The merge is a deterministic serial concatenation, so the
-// bytes are identical at any stepping parallelism.
-func (f *Frontend) WriteTrace(w io.Writer, base int) error {
-	if f.cfg.Trace != nil {
-		if _, err := fmt.Fprintf(w, "{\"task\":%d}\n", base); err != nil {
-			return err
-		}
-		if err := f.cfg.Trace.WriteJSONL(w); err != nil {
-			return err
-		}
-	}
-	for i, tr := range f.cfg.BackendTracers {
-		if tr == nil {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "{\"task\":%d}\n", base+1+i); err != nil {
-			return err
-		}
-		if err := tr.WriteJSONL(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

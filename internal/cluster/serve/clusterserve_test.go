@@ -137,11 +137,20 @@ func runCluster(t *testing.T, mut func(*Config)) (*Report, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rep, traceJSONL(t, cfg)
+}
+
+// traceJSONL concatenates the frontend's and then each backend's trace, as
+// JSONL.
+func traceJSONL(t *testing.T, cfg Config) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := f.WriteTrace(&buf, 0); err != nil {
-		t.Fatal(err)
+	for _, tr := range append([]*trace.Tracer{cfg.Trace}, cfg.BackendTracers...) {
+		if err := tr.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return rep, buf.Bytes()
+	return buf.Bytes()
 }
 
 func TestClusterNoJobLost(t *testing.T) {

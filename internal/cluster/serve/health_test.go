@@ -87,11 +87,7 @@ func runGray(t *testing.T, mut func(*Config)) (*Frontend, *Report, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := f.WriteTrace(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	return f, rep, buf.Bytes()
+	return f, rep, traceJSONL(t, cfg)
 }
 
 // TestClusterGrayQuarantineLifecycle: the scorer convicts the degraded GPU

@@ -23,7 +23,6 @@ import (
 	"ugpu/internal/config"
 	"ugpu/internal/core"
 	"ugpu/internal/digest"
-	"ugpu/internal/fault"
 	"ugpu/internal/gpu"
 	"ugpu/internal/trace"
 	"ugpu/internal/workload"
@@ -123,18 +122,13 @@ func (r *BisectResult) String() string {
 // custom arm, Options.FaultSpec injected under Options.FaultSeed. Each arm
 // owns a private tracer (one tracer == one simulation goroutine).
 func (o Options) bisectRunner(arm BisectArm, cfg config.Config, mix workload.Mix) (*core.Runner, error) {
-	var faults fault.Spec
-	if o.FaultSpec != "" {
-		var err error
-		if faults, err = fault.ParseSpec(o.FaultSpec); err != nil {
-			return nil, fmt.Errorf("bisect: %w", err)
-		}
+	faults, err := o.faultSpec()
+	if err != nil {
+		return nil, fmt.Errorf("bisect: %w", err)
 	}
+	o.NoFastForward = arm.NoFastForward // the arm, not the caller, picks the engine
 	pol := core.WithOptions(core.NewUGPU(cfg), func(g *gpu.Options) {
-		g.FootprintScale = o.FootprintScale
-		g.Faults = faults
-		g.FaultSeed = o.FaultSeed
-		g.NoFastForward = arm.NoFastForward
+		*g = o.gpuOptions(*g, faults)
 		if arm.Trace {
 			g.Trace = trace.New(trace.DefaultCapacity)
 		}

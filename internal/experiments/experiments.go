@@ -14,10 +14,9 @@ import (
 	"sort"
 
 	"ugpu/internal/config"
-	"ugpu/internal/core"
+	"ugpu/internal/fault"
 	"ugpu/internal/gpu"
 	"ugpu/internal/metrics"
-	"ugpu/internal/parallel"
 	"ugpu/internal/workload"
 )
 
@@ -38,7 +37,8 @@ type Options struct {
 
 	// FaultSpec, when non-empty, replaces the FaultSweep figure's default
 	// arms with a single custom arm (fault.ParseSpec format, e.g.
-	// "sm=2,group=1,mig=0.05").
+	// "sm=2,group=1,mig=0.05"); the serve and failover figures and the
+	// bisector inject the same faults.
 	FaultSpec string
 	// FaultSeed seeds the fault injector (0 = the config seed).
 	FaultSeed int64
@@ -76,9 +76,10 @@ type Options struct {
 	QoSMix float64
 
 	// Trace attaches a deterministic event tracer to every simulation of
-	// the non-paper sweeps (faults, serve, failover, gray, power) and
-	// streams the recorded events as JSONL to TraceOut. Each simulation —
-	// a single-GPU cell, or a cluster arm's frontend and each backend — gets
+	// every figure — the paper's tables and figures and the non-paper
+	// sweeps alike, all of which run on sweep.go's runCells — and streams
+	// the recorded events as JSONL to TraceOut. Each simulation — a
+	// single-GPU cell, or a cluster arm's frontend and each backend — gets
 	// its own tracer (one tracer == one simulation goroutine, the same
 	// ownership rule internal/parallel imposes on GPUs); streams are
 	// buffered through a parallel.OrderedSink and concatenated in cell
@@ -99,9 +100,6 @@ type Options struct {
 	NoFastForward bool
 }
 
-// runner returns the sweep fan-out pool.
-func (o Options) runner() *parallel.Runner { return parallel.New(o.Parallel) }
-
 // Default returns laptop-scale options: 150K-cycle runs with 25K-cycle
 // epochs over a subset of mixes.
 func Default() Options {
@@ -117,20 +115,25 @@ func (o Options) logf(format string, args ...any) {
 	}
 }
 
-func (o Options) gpuOptions() gpu.Options {
-	g := gpu.DefaultOptions()
-	g.FootprintScale = o.FootprintScale
-	g.NoFastForward = o.NoFastForward
-	return g
+// gpuOptions maps the experiment's options onto one simulation's mechanism
+// options: base (a policy's own options, or gpu.DefaultOptions) with the
+// footprint scale and the fast-forward switch applied, plus faults, seeded
+// by FaultSeed, when there are any.
+func (o Options) gpuOptions(base gpu.Options, faults fault.Spec) gpu.Options {
+	base.FootprintScale = o.FootprintScale
+	base.NoFastForward = o.NoFastForward
+	if !faults.Empty() {
+		base.Faults, base.FaultSeed = faults, o.FaultSeed
+	}
+	return base
 }
 
-// withScale applies the experiment's footprint scale (and the fast-forward
-// switch) to a policy.
-func (o Options) withScale(p core.Policy) core.Policy {
-	return core.WithOptions(p, func(g *gpu.Options) {
-		g.FootprintScale = o.FootprintScale
-		g.NoFastForward = o.NoFastForward
-	})
+// faultSpec parses FaultSpec (the zero spec when it is empty).
+func (o Options) faultSpec() (fault.Spec, error) {
+	if o.FaultSpec == "" {
+		return fault.Spec{}, nil
+	}
+	return fault.ParseSpec(o.FaultSpec)
 }
 
 // Series is one plotted line/bar group.
@@ -192,47 +195,9 @@ func sortedByValue(xs []float64) []float64 {
 	return out
 }
 
-// scored runs one policy over mixes and returns per-mix STP and ANTT. The
-// policy is produced per mix by mk, because some policies (CD-Search, the
-// hill climber) carry state across epochs and must not be shared between
-// concurrently simulated mixes. Mixes fan out over the Options' worker pool;
-// per-mix log lines are buffered and flushed in mix order so verbose output
-// is identical to a serial run.
-func (o Options) scored(mk func() core.Policy, mixes []workload.Mix, alone *metrics.AloneIPC) (stp, antt []float64, err error) {
-	type mixScore struct {
-		stp, antt float64
-		line      string
-	}
-	out, err := parallel.Map(o.runner(), len(mixes), func(i int) (mixScore, error) {
-		mix := mixes[i]
-		pol := mk()
-		res, err := core.RunPolicy(o.Cfg, o.withScale(pol), mix)
-		if err != nil {
-			return mixScore{}, fmt.Errorf("%s on %s: %w", pol.Name(), mix.Name, err)
-		}
-		ref, err := alone.Table(mix)
-		if err != nil {
-			return mixScore{}, err
-		}
-		s, a := metrics.Score(res, ref)
-		line := fmt.Sprintf("  %-14s %-22s STP=%.3f ANTT=%.3f realloc=%d\n",
-			pol.Name(), mix.Name, s, a, res.Reallocations)
-		return mixScore{stp: s, antt: a, line: line}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, m := range out {
-		stp = append(stp, m.stp)
-		antt = append(antt, m.antt)
-		o.logf("%s", m.line)
-	}
-	return stp, antt, nil
-}
-
-// aloneRef builds the shared solo-IPC reference runner.
-func (o Options) aloneRef() *metrics.AloneIPC {
-	return metrics.NewAloneIPC(o.Cfg, o.gpuOptions())
+// aloneRef builds a solo-IPC reference runner for cfg on a healthy machine.
+func (o Options) aloneRef(cfg config.Config) *metrics.AloneIPC {
+	return metrics.NewAloneIPC(cfg, o.gpuOptions(gpu.DefaultOptions(), fault.Spec{}))
 }
 
 // heteroMixes returns the sweep's heterogeneous two-program mixes.

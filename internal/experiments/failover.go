@@ -15,8 +15,7 @@ import (
 	"fmt"
 
 	clusterserve "ugpu/internal/cluster/serve"
-	"ugpu/internal/fault"
-	"ugpu/internal/metrics"
+	"ugpu/internal/gpu"
 )
 
 // failoverGPUs is the figure's cluster size.
@@ -58,19 +57,14 @@ func (o Options) FailoverSweep() (Figure, error) {
 	cfg := sv.cfg
 	cfg.MaxCycles *= 2
 	sv.arrivals.Horizon = cfg.MaxCycles * 3 / 4 // crashes centre at 50-65%; keep arrivals flowing through recovery
-	opt := o.gpuOptions()
-	if o.FaultSpec != "" {
-		// Intra-GPU faults compose with whole-GPU crashes; clusterserve
-		// offsets the injector seed per backend so each GPU degrades
-		// independently.
-		spec, err := fault.ParseSpec(o.FaultSpec)
-		if err != nil {
-			return Figure{}, err
-		}
-		opt.Faults = spec
-		opt.FaultSeed = o.FaultSeed
+	// Intra-GPU faults compose with whole-GPU crashes; clusterserve offsets
+	// the injector seed per backend so each GPU degrades independently.
+	faults, err := o.faultSpec()
+	if err != nil {
+		return Figure{}, err
 	}
-	alone := metrics.NewAloneIPC(cfg, o.gpuOptions())
+	opt := o.gpuOptions(gpu.DefaultOptions(), faults)
+	alone := o.aloneRef(cfg)
 	// Dense enough that losing one of four GPUs overloads the survivors
 	// while the full cluster still keeps up; the floor keeps reduced
 	// CI-scale runs at the serve sweep's stream.

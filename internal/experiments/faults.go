@@ -10,10 +10,7 @@ package experiments
 import (
 	"fmt"
 
-	"ugpu/internal/core"
 	"ugpu/internal/fault"
-	"ugpu/internal/gpu"
-	"ugpu/internal/trace"
 )
 
 // faultArm is one injected-fault configuration of the sweep.
@@ -26,7 +23,7 @@ type faultArm struct {
 // damage, or a single custom arm when Options.FaultSpec is set.
 func (o Options) faultArms() ([]faultArm, error) {
 	if o.FaultSpec != "" {
-		spec, err := fault.ParseSpec(o.FaultSpec)
+		spec, err := o.faultSpec()
 		if err != nil {
 			return nil, err
 		}
@@ -53,8 +50,8 @@ func (o Options) faultArms() ([]faultArm, error) {
 }
 
 // FaultSweep regenerates the degraded-mode table. Every (arm, mix) cell is
-// one independent simulation; cells fan out over the worker pool and are
-// reassembled arm-major, so the output is byte-identical at any -parallel.
+// one closed-world cell (runMixCells), laid out arm-major, so the output is
+// byte-identical at any -parallel.
 func (o Options) FaultSweep() (Figure, error) {
 	arms, err := o.faultArms()
 	if err != nil {
@@ -65,40 +62,13 @@ func (o Options) FaultSweep() (Figure, error) {
 		mixes = mixes[:3] // a few mixes suffice; the sweep is over damage, not workloads
 	}
 
-	type cellResult struct {
-		ipc, loss                  float64
-		smFails, grpFails          int
-		nacks, spills, emergencies uint64
+	var cells []mixCell
+	for _, arm := range arms {
+		for _, mix := range mixes {
+			cells = append(cells, mixCell{pol: o.ugpu, mix: mix, faults: arm.spec})
+		}
 	}
-	out, links, err := runCells(o, o.Parallel, 0, len(arms)*len(mixes), 1, func(i int, trs []*trace.Tracer) (cellOut[cellResult], error) {
-		arm, mix := arms[i/len(mixes)], mixes[i%len(mixes)]
-		pol := core.WithOptions(core.NewUGPU(o.Cfg), func(g *gpu.Options) {
-			g.FootprintScale = o.FootprintScale
-			g.Faults = arm.spec
-			g.FaultSeed = o.FaultSeed
-			g.Trace = trs[0]
-			g.NoFastForward = o.NoFastForward
-		})
-		res, err := core.RunPolicy(o.Cfg, pol, mix)
-		if err != nil {
-			return cellOut[cellResult]{}, fmt.Errorf("faults arm %q on %s: %w", arm.name, mix.Name, err)
-		}
-		r := cellResult{
-			ipc:         res.TotalIPC(),
-			smFails:     res.Faults.SMFails,
-			grpFails:    res.Faults.GroupFails,
-			nacks:       res.Faults.MigNACKs,
-			spills:      res.Faults.SpillRemaps,
-			emergencies: res.Faults.EmergencyMigrations,
-		}
-		for _, l := range res.Faults.PerAppLoss {
-			r.loss += l
-		}
-		if n := len(res.Faults.PerAppLoss); n > 0 {
-			r.loss /= float64(n)
-		}
-		return cellOut[cellResult]{val: r, digs: []uint64{res.Digest.Final()}}, nil
-	})
+	runs, links, err := o.runMixCells(cells)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -109,15 +79,27 @@ func (o Options) FaultSweep() (Figure, error) {
 	}
 	labels := []string{"totalIPC", "meanLoss", "smFail", "grpFail", "migNACK", "spill", "evacPages"}
 	for ai, arm := range arms {
-		var agg cellResult
-		for _, r := range out[ai*len(mixes) : (ai+1)*len(mixes)] {
-			agg.ipc += r.ipc
-			agg.loss += r.loss
-			agg.smFails += r.smFails
-			agg.grpFails += r.grpFails
-			agg.nacks += r.nacks
-			agg.spills += r.spills
-			agg.emergencies += r.emergencies
+		var agg struct {
+			ipc, loss                  float64
+			smFails, grpFails          int
+			nacks, spills, emergencies uint64
+		}
+		for _, r := range runs[ai*len(mixes) : (ai+1)*len(mixes)] {
+			f := r.res.Faults
+			loss := 0.0
+			for _, l := range f.PerAppLoss {
+				loss += l
+			}
+			if n := len(f.PerAppLoss); n > 0 {
+				loss /= float64(n)
+			}
+			agg.ipc += r.res.TotalIPC()
+			agg.loss += loss
+			agg.smFails += f.SMFails
+			agg.grpFails += f.GroupFails
+			agg.nacks += f.MigNACKs
+			agg.spills += f.SpillRemaps
+			agg.emergencies += f.EmergencyMigrations
 		}
 		n := float64(len(mixes))
 		o.logf("  faults %-22s IPC=%.3f loss=%.3f\n", arm.name, agg.ipc/n, agg.loss/n)

@@ -25,6 +25,7 @@ import (
 
 	clusterserve "ugpu/internal/cluster/serve"
 	"ugpu/internal/fault"
+	"ugpu/internal/gpu"
 	"ugpu/internal/metrics"
 	"ugpu/internal/power"
 )
@@ -77,7 +78,7 @@ func (o Options) GraySweep() (Figure, error) {
 	// Every arm carries the full DVFS ladder: the gray P-state floors bite
 	// through the power manager, and the healthy arms meter energy
 	// identically so the comparison isolates the failure response.
-	opt := o.gpuOptions()
+	opt := o.gpuOptions(gpu.DefaultOptions(), fault.Spec{})
 	opt.Power = &power.Config{}
 	alone := metrics.NewAloneIPC(cfg, opt)
 	// Moderate stream: the survivors must have headroom to absorb drained

@@ -223,9 +223,6 @@ type matrixRow struct {
 	name string
 	opts Options
 	gen  func(Options) (Figure, error)
-	// sweep rows trace and digest every simulation; the paper figures
-	// (Figure 10, 14) do neither.
-	sweep bool
 	// closed-world rows run the UGPU policy over mixes, the bisector's
 	// shape: a fast-forward or trace mismatch there is bisected.
 	closed bool
@@ -233,12 +230,12 @@ type matrixRow struct {
 }
 
 var matrixRows = []matrixRow{
-	{name: "faults", opts: faultRow(), gen: Options.FaultSweep, sweep: true, closed: true,
+	{name: "faults", opts: faultRow(), gen: Options.FaultSweep, closed: true,
 		check: func(t *testing.T, r matrixRun) {
 			checkNames(t, r.fig, "healthy", "sm=2,group=1,mig=0.05")
 			checkKinds(t, r.trace, "fault-inject", "sm-fail", "mig-nack")
 		}},
-	{name: "serve", opts: serveRow(""), gen: Options.ServeSweep, sweep: true,
+	{name: "serve", opts: serveRow(""), gen: Options.ServeSweep,
 		check: func(t *testing.T, r matrixRun) {
 			var names []string
 			for _, p := range []string{"in-order", "class-aware", "load-aware"} {
@@ -246,18 +243,18 @@ var matrixRows = []matrixRow{
 			}
 			checkNames(t, r.fig, names...)
 		}},
-	{name: "serve+faults", opts: serveRow("sm=2,group=1"), gen: Options.ServeSweep, sweep: true,
+	{name: "serve+faults", opts: serveRow("sm=2,group=1"), gen: Options.ServeSweep,
 		check: func(t *testing.T, r matrixRun) {
 			if !strings.Contains(strings.Join(r.fig.Notes, "\n"), "degraded machine") {
 				t.Errorf("faulted sweep does not note the degraded machine: %q", r.fig.Notes)
 			}
 		}},
-	{name: "failover", opts: clusterRow(30_000), gen: Options.FailoverSweep, sweep: true,
+	{name: "failover", opts: clusterRow(30_000), gen: Options.FailoverSweep,
 		check: func(t *testing.T, r matrixRun) {
 			checkLabels(t, r.fig.Series[0], "baseline", "crash", "crash+brownout")
 			checkKinds(t, r.trace, "gpu-crash")
 		}},
-	{name: "gray", opts: clusterRow(30_000), gen: Options.GraySweep, sweep: true,
+	{name: "gray", opts: clusterRow(30_000), gen: Options.GraySweep,
 		check: func(t *testing.T, r matrixRun) {
 			checkLabels(t, r.fig.Series[0], "healthy+detect", "gray", "gray+crash", "gray+quarantine")
 			checkKinds(t, r.trace, "gray-fault", "health")
@@ -278,7 +275,7 @@ var matrixRows = []matrixRow{
 				}
 			}
 		}},
-	{name: "power", opts: clusterRow(40_000), gen: Options.PowerSweep, sweep: true,
+	{name: "power", opts: clusterRow(40_000), gen: Options.PowerSweep,
 		check: func(t *testing.T, r matrixRun) {
 			checkLabels(t, r.fig.Series[0], "baseline", "dvfs", "cap-85", "cap-70")
 			checkKinds(t, r.trace, "power")
@@ -349,12 +346,10 @@ func TestModeMatrix(t *testing.T) {
 				mu.Lock()
 				bases[row.name] = base
 				mu.Unlock()
-				if row.sweep {
-					if digestNoteOf(base.fig) == "" {
-						t.Error("digested sweep has no state-digest note")
-					}
-					checkTraceWellFormed(t, base.trace)
+				if digestNoteOf(base.fig) == "" {
+					t.Error("digested run has no state-digest note")
 				}
+				checkTraceWellFormed(t, base.trace)
 				row.check(t, base)
 				for _, m := range matrixModes {
 					diffs := compareRuns(base, rowRun(t, row.name, m.name), m.plain)

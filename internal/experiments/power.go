@@ -17,7 +17,8 @@ import (
 	"fmt"
 
 	clusterserve "ugpu/internal/cluster/serve"
-	"ugpu/internal/metrics"
+	"ugpu/internal/fault"
+	"ugpu/internal/gpu"
 	"ugpu/internal/power"
 )
 
@@ -74,7 +75,7 @@ func (o Options) PowerSweep() (Figure, error) {
 	// serving sweeps' fine epochs keep their feedback loops from being
 	// quantised into a handful of steps.
 	cfg := sv.cfg
-	alone := metrics.NewAloneIPC(cfg, o.gpuOptions())
+	alone := o.aloneRef(cfg)
 	// Lighter stream than the failover figure: the point is steady-state
 	// serving with real SLO attainment, not overload — saturated queues
 	// would zero every arm's goodput and make the LC-unchanged comparison
@@ -85,7 +86,7 @@ func (o Options) PowerSweep() (Figure, error) {
 	arms := o.powerArms()
 	caps := make([]float64, len(arms))
 	armAt := func(i int) clusterArm {
-		opt := o.gpuOptions()
+		opt := o.gpuOptions(gpu.DefaultOptions(), fault.Spec{})
 		if arms[i].dvfs {
 			opt.Power = &power.Config{}
 		} else {

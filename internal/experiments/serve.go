@@ -11,7 +11,7 @@ package experiments
 import (
 	"fmt"
 
-	"ugpu/internal/fault"
+	"ugpu/internal/gpu"
 	"ugpu/internal/metrics"
 	"ugpu/internal/serve"
 	"ugpu/internal/trace"
@@ -48,16 +48,12 @@ func (o Options) ServeSweep() (Figure, error) {
 	sv.arrivals.Horizon = cfg.MaxCycles * 2 / 3
 	// -faults serves the stream on a degraded machine; the alone reference
 	// stays healthy (slowdowns are measured against an undamaged GPU).
-	opt := o.gpuOptions()
-	if o.FaultSpec != "" {
-		spec, err := fault.ParseSpec(o.FaultSpec)
-		if err != nil {
-			return Figure{}, err
-		}
-		opt.Faults = spec
-		opt.FaultSeed = o.FaultSeed
+	faults, err := o.faultSpec()
+	if err != nil {
+		return Figure{}, err
 	}
-	alone := metrics.NewAloneIPC(cfg, o.gpuOptions())
+	opt := o.gpuOptions(gpu.DefaultOptions(), faults)
+	alone := o.aloneRef(cfg)
 
 	type cellResult struct{ p99, reject, goodput float64 }
 	out, links, err := runCells(o, o.Parallel, 0, len(pols)*len(rates), 1, func(i int, trs []*trace.Tracer) (cellOut[cellResult], error) {

@@ -1,12 +1,14 @@
 package experiments
 
-// The sweep runner shared by the non-paper figures (faults, serve,
-// failover, gray, power). Each is a set of independent cells — a
-// single-GPU simulation or a whole cluster arm — and the runner owns
-// everything the figures' determinism contract rests on: per-cell tracers
-// buffered through a parallel.OrderedSink, progress lines and state-digest
-// links reassembled in cell order. Output is therefore byte-identical at
-// any worker count and with fast-forward or tracing on or off.
+// The sweep runner every figure runs on: the paper's tables and figures and
+// the non-paper sweeps (faults, serve, failover, gray, power) alike. Each
+// figure is a set of independent cells — a single-GPU simulation or a
+// whole cluster arm — and the runner owns everything the figures'
+// determinism contract rests on: per-cell tracers buffered through a
+// parallel.OrderedSink, progress lines and state-digest links reassembled
+// in cell order. Output is therefore byte-identical at any worker count
+// and with fast-forward or tracing on or off, and -trace and -digest reach
+// every figure.
 
 import (
 	"fmt"
@@ -14,7 +16,11 @@ import (
 
 	clusterserve "ugpu/internal/cluster/serve"
 	"ugpu/internal/config"
+	"ugpu/internal/core"
 	"ugpu/internal/digest"
+	"ugpu/internal/fault"
+	"ugpu/internal/gpu"
+	"ugpu/internal/metrics"
 	"ugpu/internal/parallel"
 	"ugpu/internal/trace"
 	"ugpu/internal/workload"
@@ -31,8 +37,8 @@ type cellOut[T any] struct {
 // their values and digest links in cell order. Each cell gets tracers
 // private tracers (all nil when tracing is off); afterwards the runner
 // writes every non-nil one into the cell's sink slot under a {"task":N}
-// header, N = cell*tracers + j, so a cluster arm's frontend and backends
-// number exactly as clusterserve.Frontend.WriteTrace numbers them.
+// header, N = cell*tracers + j, so a cluster arm's frontend is task
+// cell*tracers and its backends follow it in index order.
 func runCells[T any](o Options, workers, first, n, tracers int, run func(cell int, trs []*trace.Tracer) (cellOut[T], error)) ([]T, []uint64, error) {
 	sink := parallel.NewOrderedSink(n)
 	outs, err := parallel.Map(parallel.New(workers), n, func(i int) (cellOut[T], error) {
@@ -67,6 +73,74 @@ func runCells[T any](o Options, workers, first, n, tracers int, run func(cell in
 	}
 	return vals, links, nil
 }
+
+// mixCell is one closed-world cell: a fresh policy run over a mix.
+type mixCell struct {
+	// pol builds the cell's policy for its mix. It is called once per run,
+	// inside the cell, because some policies (CD-Search, the hill climber)
+	// carry state across epochs and must not be shared between concurrent
+	// cells.
+	pol    func(workload.Mix) (core.Policy, error)
+	mix    workload.Mix
+	cfg    *config.Config    // nil = Options.Cfg (the page-size figure varies it)
+	faults fault.Spec        // injected faults (zero = a healthy machine)
+	alone  *metrics.AloneIPC // when non-nil, the run is scored against it
+	line   func(mixRun) string
+}
+
+// mixRun is one closed-world cell's result: the run, and its score and
+// alone reference when the cell has one.
+type mixRun struct {
+	res       core.Result
+	ref       []float64
+	stp, antt float64
+}
+
+// runMixCells runs closed-world cells on the -parallel pool through
+// runCells. Each cell's policy gets the experiment's mechanism options
+// (gpuOptions), the cell's faults and its private tracer; its run's final
+// digest link is folded in cell order and its progress line (if any) is
+// written in cell order.
+func (o Options) runMixCells(cells []mixCell) ([]mixRun, []uint64, error) {
+	return runCells(o, o.Parallel, 0, len(cells), 1, func(i int, trs []*trace.Tracer) (cellOut[mixRun], error) {
+		c := cells[i]
+		pol, err := c.pol(c.mix)
+		if err != nil {
+			return cellOut[mixRun]{}, err
+		}
+		cfg := o.Cfg
+		if c.cfg != nil {
+			cfg = *c.cfg
+		}
+		res, err := core.RunPolicy(cfg, core.WithOptions(pol, func(g *gpu.Options) {
+			*g = o.gpuOptions(*g, c.faults)
+			g.Trace = trs[0]
+		}), c.mix)
+		if err != nil {
+			return cellOut[mixRun]{}, fmt.Errorf("%s on %s: %w", pol.Name(), c.mix.Name, err)
+		}
+		r := mixRun{res: res}
+		if c.alone != nil {
+			if r.ref, err = c.alone.Table(c.mix); err != nil {
+				return cellOut[mixRun]{}, err
+			}
+			r.stp, r.antt = metrics.Score(res, r.ref)
+		}
+		out := cellOut[mixRun]{val: r, digs: []uint64{res.Digest.Final()}}
+		if c.line != nil {
+			out.line = c.line(r)
+		}
+		return out, nil
+	})
+}
+
+// anyMix adapts a mix-independent policy constructor to mixCell.pol.
+func anyMix(mk func() core.Policy) func(workload.Mix) (core.Policy, error) {
+	return func(workload.Mix) (core.Policy, error) { return mk(), nil }
+}
+
+// ugpu builds the UGPU policy on the experiment's config, for any mix.
+func (o Options) ugpu(workload.Mix) (core.Policy, error) { return core.NewUGPU(o.Cfg), nil }
 
 // cellTracer builds one simulation's private tracer (nil when tracing is
 // off, which every emit site treats as disabled).

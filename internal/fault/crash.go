@@ -34,41 +34,53 @@ type Crash struct {
 //     evenly with seeded jitter.
 //   - The returned schedule is sorted by (Cycle, GPU).
 func PlanGPUCrashes(seed int64, gpus, crashes int, horizon uint64) []Crash {
-	if gpus <= 0 || crashes <= 0 {
-		return nil
-	}
-	if max := gpus - 1; crashes > max {
-		crashes = max
-	}
-	if crashes <= 0 {
-		return nil
-	}
 	// A distinct stream constant so GPU crashes never correlate with the
 	// intra-GPU schedules an injector with the same seed would plan.
 	rng := splitmix64(uint64(seed)*0x94d049bb133111eb + 0x9e3779b97f4a7c15)
-
-	if horizon < 100 {
-		horizon = 100
+	var plan []Crash
+	for _, w := range planWindows(rng, gpus, crashes, horizon, func(uint64) uint64 { return 0 }) {
+		plan = append(plan, Crash{Cycle: w.start, GPU: w.gpu})
 	}
+	return plan
+}
+
+// window is one planned victim interval [start, end) on one GPU; a crash is
+// a zero-length window.
+type window struct {
+	start, end uint64
+	gpu        int
+}
+
+// planWindows is the planner behind PlanGPUCrashes and PlanGrayFaults:
+// n distinct victims out of gpus, clamped so at least one GPU is spared,
+// each given a window of length(horizon) cycles (clamped to the band) whose
+// start is spread evenly with jitter drawn from rng across the middle 60%
+// of the horizon (20%..80%, a horizon under 100 cycles counting as 100).
+// The result is sorted by (start, GPU); it is nil when there is no victim.
+func planWindows(rng splitmix64, gpus, n int, horizon uint64, length func(horizon uint64) uint64) []window {
+	if gpus <= 0 || n <= 0 {
+		return nil
+	}
+	if n = min(n, gpus-1); n <= 0 {
+		return nil
+	}
+	horizon = max(horizon, 100)
 	lo := horizon / 5     // 20%
 	hi := horizon * 4 / 5 // 80%
-	step := (hi - lo) / uint64(crashes+1)
-	if step == 0 {
-		step = 1
-	}
+	winLen := min(length(horizon), hi-lo)
+	step := max((hi-winLen-lo)/uint64(n+1), 1)
 
-	victims := pickDistinct(&rng, gpus, crashes)
-	plan := make([]Crash, 0, crashes)
+	victims := pickDistinct(&rng, gpus, n)
+	plan := make([]window, 0, n)
 	for i, g := range victims {
-		base := lo + uint64(i+1)*step
-		jitter := rng.next() % (step/2 + 1)
-		plan = append(plan, Crash{Cycle: base + jitter, GPU: g})
+		start := lo + uint64(i+1)*step + rng.next()%(step/2+1)
+		plan = append(plan, window{start: start, end: min(start+winLen, hi), gpu: g})
 	}
 	sort.Slice(plan, func(a, b int) bool {
-		if plan[a].Cycle != plan[b].Cycle {
-			return plan[a].Cycle < plan[b].Cycle
+		if plan[a].start != plan[b].start {
+			return plan[a].start < plan[b].start
 		}
-		return plan[a].GPU < plan[b].GPU
+		return plan[a].gpu < plan[b].gpu
 	})
 	return plan
 }

@@ -18,7 +18,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -174,59 +173,18 @@ type GrayFault struct {
 //   - The returned schedule is sorted by (Start, GPU).
 func PlanGrayFaults(seed int64, gpus int, spec GraySpec, horizon uint64) []GrayFault {
 	spec = spec.WithDefaults()
-	n := spec.GPUs
-	if gpus <= 0 || n <= 0 {
-		return nil
-	}
-	if max := gpus - 1; n > max {
-		n = max
-	}
-	if n <= 0 {
-		return nil
-	}
 	// A distinct stream constant so gray victims never correlate with the
 	// crash schedule or intra-GPU plans a seed-sharing injector would build.
 	rng := splitmix64(uint64(seed)*0xd1b54a32d192ed03 + 0x94d049bb133111eb)
-
-	if horizon < 100 {
-		horizon = 100
-	}
-	lo := horizon / 5     // 20%
-	hi := horizon * 4 / 5 // 80%
-	winLen := uint64(spec.Window * float64(horizon))
-	if winLen > hi-lo {
-		winLen = hi - lo
-	}
-	if winLen == 0 {
-		winLen = 1
-	}
-	span := hi - winLen - lo
-	step := span / uint64(n+1)
-	if step == 0 {
-		step = 1
-	}
-
-	victims := pickDistinct(&rng, gpus, n)
-	plan := make([]GrayFault, 0, n)
-	for i, g := range victims {
-		base := lo + uint64(i+1)*step
-		jitter := rng.next() % (step/2 + 1)
-		start := base + jitter
-		end := start + winLen
-		if end > hi {
-			end = hi
-		}
+	// Every window lasts at least one cycle.
+	length := func(h uint64) uint64 { return max(uint64(spec.Window*float64(h)), 1) }
+	var plan []GrayFault
+	for _, w := range planWindows(rng, gpus, spec.GPUs, horizon, length) {
 		plan = append(plan, GrayFault{
-			Start: start, End: end, GPU: g,
+			Start: w.start, End: w.end, GPU: w.gpu,
 			SMStep: spec.SMStep, HBMStep: spec.HBMStep, NoCDrop: spec.NoCDrop,
 		})
 	}
-	sort.Slice(plan, func(a, b int) bool {
-		if plan[a].Start != plan[b].Start {
-			return plan[a].Start < plan[b].Start
-		}
-		return plan[a].GPU < plan[b].GPU
-	})
 	return plan
 }
 

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -158,5 +159,33 @@ func TestParseGraySpecAccepts(t *testing.T) {
 	}
 	if s := (GraySpec{}).String(); s != "none" {
 		t.Errorf("empty spec String = %q, want none", s)
+	}
+}
+
+// TestPlannerSchedulesPinned pins both planners' schedules for three seeds
+// (values recorded before they came to share one window planner), so the
+// shared planner reproduces each exactly: crashes as zero-length windows,
+// gray windows with their one-cycle minimum.
+func TestPlannerSchedulesPinned(t *testing.T) {
+	spec := GraySpec{GPUs: 2, SMStep: 3, NoCDrop: 0.005, Window: 0.25}
+	for _, tc := range []struct {
+		seed  int64
+		crash []Crash
+		gray  [][3]uint64 // start, end, GPU
+	}{
+		{1, []Crash{{0x6dfec, 2}, {0xa3ee7, 0}}, [][3]uint64{{0x5b7d2, 0x98862, 5}, {0x71a72, 0xaeb02, 3}}},
+		{7, []Crash{{0x735a1, 3}, {0xa5b06, 1}}, [][3]uint64{{0x4d651, 0x8a6e1, 1}, {0x75937, 0xb29c7, 4}}},
+		{42, []Crash{{0x76379, 2}, {0x92b69, 3}}, [][3]uint64{{0x51d3a, 0x8edca, 2}, {0x6f38d, 0xac41d, 1}}},
+	} {
+		if got := PlanGPUCrashes(tc.seed, 4, 2, 1_000_000); !reflect.DeepEqual(got, tc.crash) {
+			t.Errorf("seed %d: crashes %+v, want %+v", tc.seed, got, tc.crash)
+		}
+		var want []GrayFault
+		for _, w := range tc.gray {
+			want = append(want, GrayFault{Start: w[0], End: w[1], GPU: int(w[2]), SMStep: 3, NoCDrop: 0.005})
+		}
+		if got := PlanGrayFaults(tc.seed, 6, spec, 1_000_000); !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: gray windows %+v, want %+v", tc.seed, got, want)
+		}
 	}
 }

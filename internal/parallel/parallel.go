@@ -29,12 +29,10 @@
 package parallel
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
 )
 
 // Runner is a bounded worker pool for index-ordered task fan-out. The zero
@@ -43,15 +41,6 @@ type Runner struct {
 	// Workers is the maximum number of concurrently running tasks.
 	// Values <= 0 mean runtime.GOMAXPROCS(0).
 	Workers int
-
-	// FailFast cancels the sweep on the first task error: tasks not yet
-	// dispatched are skipped (marked in their Timing) instead of executed.
-	// Already-running tasks complete, so every recorded outcome is real.
-	// This trades the full-drain determinism guarantee for latency — with
-	// FailFast the set of executed tasks depends on completion timing, so
-	// only use it where a failure makes the remaining results worthless
-	// (e.g. CI smoke sweeps).
-	FailFast bool
 }
 
 // New returns a Runner with the given worker bound (<= 0 = GOMAXPROCS).
@@ -100,125 +89,62 @@ func (e *TaskError) Error() string {
 // Unwrap exposes the underlying task error to errors.Is/As.
 func (e *TaskError) Unwrap() error { return e.Err }
 
-// Timing is one task's wall-clock measurement.
-type Timing struct {
-	Index int
-	Wall  time.Duration
-	// Skipped marks a task that never ran because FailFast cancelled the
-	// sweep after an earlier error.
-	Skipped bool
-}
-
-// result carries one completed task's outcome back to the collector.
-type taskOutcome struct {
-	err     error
-	wall    time.Duration
-	skipped bool
-}
-
-// runIndexed is the shared pool implementation: run task(i) for i in
-// [0, n), bounded by the runner's worker count. The exec callback performs
-// the work and stores its own result; runIndexed handles scheduling, panic
-// recovery, per-task timing and deterministic error selection.
-func runIndexed(r *Runner, n int, exec func(i int) error) ([]Timing, error) {
+// ForEach runs task(i) for every i in [0, n) on the pool and returns the
+// deterministic first error (lowest failing index). Every task runs, even
+// after a failure, and a panicking task becomes a *PanicError.
+func (r *Runner) ForEach(n int, task func(i int) error) error {
 	if n <= 0 {
-		return nil, nil
+		return nil
 	}
-	outcomes := make([]taskOutcome, n)
-	workers := r.WorkerCount(n)
-	failFast := r != nil && r.FailFast
-	if workers == 1 {
+	errs := make([]error, n)
+	if workers := r.WorkerCount(n); workers == 1 {
 		// Serial fast path: no goroutines, identical semantics.
-		for i := 0; i < n; i++ {
-			start := time.Now()
-			err := protect(i, exec)
-			outcomes[i] = taskOutcome{err: err, wall: time.Since(start)}
-			if err != nil && failFast {
-				for j := i + 1; j < n; j++ {
-					outcomes[j].skipped = true
-				}
-				break
-			}
+		for i := range errs {
+			errs[i] = protect(i, task)
 		}
-		return finish(outcomes)
-	}
-
-	// ctx cancels dispatch on the first error under FailFast; workers never
-	// observe it (tasks are not context-aware), only the dispatcher does.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				start := time.Now()
-				err := protect(i, exec)
-				outcomes[i] = taskOutcome{err: err, wall: time.Since(start)}
-				if err != nil && failFast {
-					cancel()
+	} else {
+		var wg sync.WaitGroup
+		next := make(chan int)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range next {
+					errs[i] = protect(i, task)
 				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		if failFast && ctx.Err() != nil {
-			for j := i; j < n; j++ {
-				outcomes[j].skipped = true
-			}
-			break
+			}()
 		}
-		next <- i
+		for i := range errs {
+			next <- i
+		}
+		close(next)
+		wg.Wait()
 	}
-	close(next)
-	wg.Wait()
-	return finish(outcomes)
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		if _, isPanic := err.(*PanicError); isPanic {
+			return err
+		}
+		return &TaskError{Index: i, Err: err}
+	}
+	return nil
 }
 
-// protect runs exec(i), converting panics to *PanicError.
-func protect(i int, exec func(int) error) (err error) {
+// protect runs task(i), converting panics to *PanicError.
+func protect(i int, task func(int) error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	return exec(i)
-}
-
-// finish selects the lowest-index real error and packages timings.
-func finish(outcomes []taskOutcome) ([]Timing, error) {
-	timings := make([]Timing, len(outcomes))
-	var firstErr error
-	for i, o := range outcomes {
-		timings[i] = Timing{Index: i, Wall: o.wall, Skipped: o.skipped}
-		if o.err != nil && firstErr == nil {
-			if _, isPanic := o.err.(*PanicError); isPanic {
-				firstErr = o.err
-			} else {
-				firstErr = &TaskError{Index: i, Err: o.err}
-			}
-		}
-	}
-	return timings, firstErr
-}
-
-// ForEach runs task(i) for every i in [0, n) on the pool and returns the
-// deterministic first error (lowest failing index).
-func (r *Runner) ForEach(n int, task func(i int) error) error {
-	_, err := runIndexed(r, n, task)
-	return err
-}
-
-// ForEachTimed is ForEach plus per-task wall-clock capture.
-func (r *Runner) ForEachTimed(n int, task func(i int) error) ([]Timing, error) {
-	return runIndexed(r, n, task)
+	return task(i)
 }
 
 // Map fans n tasks out over the runner and returns their results in index
 // order. On error the partial results slice is still returned (entries for
-// failed or skipped tasks are zero values).
+// failed tasks are zero values).
 func Map[T any](r *Runner, n int, task func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := r.ForEach(n, func(i int) error {
@@ -230,18 +156,4 @@ func Map[T any](r *Runner, n int, task func(i int) (T, error)) ([]T, error) {
 		return nil
 	})
 	return out, err
-}
-
-// MapTimed is Map plus per-task wall-clock capture.
-func MapTimed[T any](r *Runner, n int, task func(i int) (T, error)) ([]T, []Timing, error) {
-	out := make([]T, n)
-	timings, err := runIndexed(r, n, func(i int) error {
-		v, err := task(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	return out, timings, err
 }

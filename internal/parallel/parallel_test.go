@@ -3,6 +3,7 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -124,25 +125,47 @@ func TestWorkerCountResolution(t *testing.T) {
 	}
 }
 
-func TestTimingsCaptured(t *testing.T) {
-	r := New(2)
-	timings, err := r.ForEachTimed(4, func(i int) error {
-		time.Sleep(2 * time.Millisecond)
+func TestWithoutFailFastEverythingRuns(t *testing.T) {
+	r := New(4)
+	boom := errors.New("boom")
+	var ran atomic.Int64
+	err := r.ForEach(64, func(i int) error {
+		ran.Add(1)
+		if i == 0 {
+			return boom
+		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want wrapped boom", err)
 	}
-	if len(timings) != 4 {
-		t.Fatalf("got %d timings", len(timings))
+	if got := ran.Load(); got != 64 {
+		t.Errorf("ran %d tasks, want all 64 (the pool always drains fully)", got)
 	}
-	for i, tm := range timings {
-		if tm.Index != i {
-			t.Errorf("timing %d has index %d", i, tm.Index)
+}
+
+func TestPanicErrorCarriesIndexAndStack(t *testing.T) {
+	r := New(1)
+	err := r.ForEach(3, func(i int) error {
+		if i == 1 {
+			panic(fmt.Sprintf("kaboom-%d", i))
 		}
-		if tm.Wall <= 0 {
-			t.Errorf("task %d wall clock not captured: %v", i, tm.Wall)
-		}
+		return nil
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	if pe.Index != 1 {
+		t.Errorf("panic index = %d, want 1", pe.Index)
+	}
+	msg := pe.Error()
+	if !strings.Contains(msg, "kaboom-1") {
+		t.Errorf("error %q does not carry the panic value", msg)
+	}
+	// The stack must point at the panicking function, not just the pool.
+	if !strings.Contains(msg, "TestPanicErrorCarriesIndexAndStack") {
+		t.Errorf("error does not carry a useful stack:\n%s", msg)
 	}
 }
 

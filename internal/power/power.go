@@ -469,11 +469,10 @@ type Breakdown struct {
 	Transitions uint64
 }
 
-// energyMetered sums the attributed dynamic+static energy of all domains
-// (excludes migration and un-sampled residual).
-func (m *Manager) energyMetered() float64 {
+// smEnergy continues the running sum acc over every SM domain's attributed
+// active and idle energy, each state's terms scaled by its voltage.
+func (m *Manager) smEnergy(acc float64) float64 {
 	w := DefaultWeights()
-	var e float64
 	for i := range m.smDom {
 		d := &m.smDom[i]
 		size := float64(m.smSize[i])
@@ -481,19 +480,32 @@ func (m *Manager) energyMetered() float64 {
 			v := m.cfg.SMStates[s].Voltage
 			active := float64(d.active[s])
 			idle := float64(d.resCycles[s])*size - active
-			e += active*w.SMActiveCycle*v*v + idle*w.SMIdleCycle*v
+			acc += active*w.SMActiveCycle*v*v + idle*w.SMIdleCycle*v
 		}
 	}
+	return acc
+}
+
+// hbmEnergy continues the running sum acc over every channel domain's
+// attributed activate, access and static energy.
+func (m *Manager) hbmEnergy(acc float64) float64 {
+	w := DefaultWeights()
 	for i := range m.chDom {
 		d := &m.chDom[i]
 		for s := range d.resCycles {
 			v := m.cfg.HBMStates[s].Voltage
-			e += float64(d.activates[s])*w.DRAMActivate*v*v +
+			acc += float64(d.activates[s])*w.DRAMActivate*v*v +
 				float64(d.active[s])*w.DRAMAccess*v*v +
 				float64(d.resCycles[s])*w.DRAMStatic*v
 		}
 	}
-	return e + float64(m.sampledTo)*w.CoreStatic
+	return acc
+}
+
+// energyMetered sums the attributed dynamic+static energy of all domains
+// (excludes migration and un-sampled residual) in one accumulator.
+func (m *Manager) energyMetered() float64 {
+	return m.hbmEnergy(m.smEnergy(0)) + float64(m.sampledTo)*DefaultWeights().CoreStatic
 }
 
 // Report finalizes attribution at cycle and returns the DVFS-scaled energy
@@ -501,28 +513,8 @@ func (m *Manager) energyMetered() float64 {
 func (m *Manager) Report(cycle uint64, migratedLines uint64) Breakdown {
 	m.Sample(cycle)
 	w := DefaultWeights()
-	var core, hbm float64
-	for i := range m.smDom {
-		d := &m.smDom[i]
-		size := float64(m.smSize[i])
-		for s := range d.resCycles {
-			v := m.cfg.SMStates[s].Voltage
-			active := float64(d.active[s])
-			idle := float64(d.resCycles[s])*size - active
-			core += active*w.SMActiveCycle*v*v + idle*w.SMIdleCycle*v
-		}
-	}
-	core += float64(m.sampledTo) * w.CoreStatic
-	for i := range m.chDom {
-		d := &m.chDom[i]
-		for s := range d.resCycles {
-			v := m.cfg.HBMStates[s].Voltage
-			hbm += float64(d.activates[s])*w.DRAMActivate*v*v +
-				float64(d.active[s])*w.DRAMAccess*v*v +
-				float64(d.resCycles[s])*w.DRAMStatic*v
-		}
-	}
-	hbm += float64(migratedLines) * w.DRAMMigration
+	core := m.smEnergy(0) + float64(m.sampledTo)*w.CoreStatic
+	hbm := m.hbmEnergy(0) + float64(migratedLines)*w.DRAMMigration
 	return Breakdown{Core: core, HBM: hbm, Total: core + hbm, Transitions: m.transitions}
 }
 

@@ -65,38 +65,6 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteChrome renders the ring as a Chrome trace_event JSON document
-// (chrome://tracing, Perfetto). Each event becomes an instant event whose
-// timestamp is the simulated cycle, pid is 0, and tid is the app slot
-// (-1-scoped events land on tid 0).
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	if t == nil {
-		_, err := io.WriteString(w, `{"traceEvents":[]}`+"\n")
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	bw.WriteString(`{"traceEvents":[`)
-	first := true
-	write := func(e *Event) {
-		if !first {
-			bw.WriteByte(',')
-		}
-		first = false
-		writeChromeEvent(bw, 0, e.Cycle, e.Kind.String(), e.Kind.CategoryOf().String(),
-			e.App, e.Unit, e.A0, e.A1, e.A2)
-	}
-	if t.wrapped {
-		for i := t.next; i < len(t.ring); i++ {
-			write(&t.ring[i])
-		}
-	}
-	for i := 0; i < t.next; i++ {
-		write(&t.ring[i])
-	}
-	bw.WriteString(`],"displayTimeUnit":"ns"}` + "\n")
-	return bw.Flush()
-}
-
 // writeChromeEvent emits one instant trace_event. tid folds negative app
 // slots onto 0 so global events share a track.
 func writeChromeEvent(w io.Writer, pid int, cycle uint64, kind, cat string, app, unit int32, a0, a1, a2 int64) {

@@ -59,14 +59,6 @@ func TestNilTracerSafe(t *testing.T) {
 	if err := tr.WriteJSONL(&buf); err != nil || buf.Len() != 0 {
 		t.Fatalf("nil WriteJSONL = (%q, %v), want empty", buf.String(), err)
 	}
-	buf.Reset()
-	if err := tr.WriteChrome(&buf); err != nil {
-		t.Fatalf("nil WriteChrome: %v", err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("nil WriteChrome output not JSON: %v", err)
-	}
 }
 
 func TestFilterCategoriesAndSeverity(t *testing.T) {
@@ -157,15 +149,18 @@ func TestWriteChromeValidJSON(t *testing.T) {
 	tr := New(8)
 	tr.Emit(KAttach, 10, 2, 0, 4, 2, 7)
 	tr.Emit(KWatchdogStall, 20, -1, 0, 3, 1, 0)
-	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	var jsonl, buf bytes.Buffer
+	if err := tr.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	if err := JSONLToChrome(&buf, &jsonl); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("WriteChrome output not JSON: %v\n%s", err, buf.String())
+		t.Fatalf("Chrome export not JSON: %v\n%s", err, buf.String())
 	}
 	if len(doc.TraceEvents) != 2 {
 		t.Fatalf("got %d trace events, want 2", len(doc.TraceEvents))
