@@ -51,7 +51,8 @@ cover:
 	$(GO) test -short -cover ./...
 
 ## smoke: the cross-mode guarantee through the CLI. Each smoke flag set (the
-## five non-paper sweeps and one paper figure, Figure 10) runs with tracing
+## five non-paper sweeps, Figure 10, and Figures 2-3, whose solo compute- and
+## memory-bound runs are the compute sprints' main path) runs with tracing
 ## and state digests on at -parallel 1, -parallel 8 and
 ## -no-fastforward; stdout (figure plus folded digest note) and the trace file
 ## must be byte-identical across the three. This checks the flag wiring only:
@@ -63,7 +64,8 @@ SMOKE_FLAGS = \
 	"-fig failover -cycles 40000 -epoch 10000 -serve-seed 9 -gpu-faults 1" \
 	"-fig gray -cycles 30000 -serve-seed 9 -arrival-rate 25 -digest-every 4" \
 	"-fig power -cycles 40000 -epoch 10000 -serve-seed 9" \
-	"-fig 10 -cycles 30000 -epoch 10000 -mixes 2"
+	"-fig 10 -cycles 30000 -epoch 10000 -mixes 2" \
+	"-fig 2,3 -cycles 20000"
 smoke:
 	$(GO) build -o smoke.bin ./cmd/experiments
 	set -e; for flags in $(SMOKE_FLAGS); do \

@@ -67,7 +67,8 @@ func (c *Cache) appendStats(h digest.Hash) digest.Hash {
 // merge limit used to fold, so digests match those of earlier versions.
 func (m *MSHR) AppendDigest(h digest.Hash, hashWaiter func(any) digest.Hash) digest.Hash {
 	var acc digest.Acc
-	for i := range m.slots {
+	// The fold is a sum over occupied slots, so the scan stops at the last.
+	for i := 0; i < len(m.slots) && acc.Len() < uint64(m.n); i++ {
 		s := &m.slots[i]
 		if s.ws == nil {
 			continue

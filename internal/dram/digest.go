@@ -4,7 +4,9 @@ package dram
 // index order — their layouts are deterministic across execution modes (bank
 // queues are rings, so elements fold in logical order from qHead). Request
 // completion callbacks digest as presence bits. migsDone is per-tick scratch
-// and is excluded, as are the MigNACK fault hook and the trace sink.
+// and is excluded, as are the MigNACK fault hook and the trace sink, and the
+// PPMM wake state (migJob.wakeAt, migLine.wakeAt, the migEnds ring), which
+// is derived from the digested state and only elides tries that would fail.
 
 import "ugpu/internal/digest"
 

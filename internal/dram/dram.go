@@ -194,6 +194,11 @@ type HBM struct {
 	crossLink   []uint64  // per-stack interposer link availability (UGPU-Ori path)
 	tsvBusy     []int     // per-stack TSV sets borrowed by in-flight MIGRATIONs
 	activeMigPP int       // MIGRATION commands in flight (all stacks)
+	// migEnds holds each stack's in-flight MIGRATION end times, a ring of
+	// ChannelsPerStack entries per stack starting at migEndHead (tsvBusy
+	// entries long). It is derived state, kept for the TSV wake bound.
+	migEnds    []uint64
+	migEndHead []int
 
 	// queuedTotal sums queued requests over all channels so an idle memory
 	// system's Tick skips the per-channel scan entirely.
@@ -230,6 +235,9 @@ func New(cfg config.Config, maxApps int) *HBM {
 		perApp:    make([]AppStats, maxApps),
 		crossLink: make([]uint64, cfg.NumStacks),
 		tsvBusy:   make([]int, cfg.NumStacks),
+
+		migEnds:    make([]uint64, cfg.NumChannels()),
+		migEndHead: make([]int, cfg.NumStacks),
 	}
 	for i := range h.channels {
 		ch := &channel{

@@ -52,6 +52,11 @@ type migLine struct {
 	endAt    uint64 // PPMM: completion time while busy
 	retryAt  uint64 // PPMM: earliest re-issue after a NACK (exponential backoff)
 	retries  uint8  // NACK count for this line
+
+	// wakeAt (PPMM, derived, not digested) is the first cycle at which the
+	// resource that refused this line's last MIGRATION try can free; no
+	// earlier try can succeed (see tryIssueMigration).
+	wakeAt uint64
 }
 
 type deferredWrite struct {
@@ -69,6 +74,12 @@ type migJob struct {
 	writes    []deferredWrite
 	done      func(cycle uint64)
 	fail      func(cycle uint64)
+
+	// wakeAt (PPMM, derived, not digested) is the first cycle at which
+	// tickPPMM can change the job: the earliest of its busy lines' endAt and
+	// its pending lines' retryAt and wakeAt. tickPPMM returns at once before
+	// it.
+	wakeAt uint64
 }
 
 // anyBusy reports whether any line still occupies hardware resources; a
@@ -165,15 +176,28 @@ func (h *HBM) tickMigrations(cycle uint64) {
 // MIGRATION needs the source and destination banks idle, both bank groups'
 // data paths free, and one idle TSV set in the stack (a channel whose data
 // bus is idle, not already borrowed by another in-flight MIGRATION).
+//
+// The job sleeps until job.wakeAt and a refused line until its wakeAt:
+// every try skipped before then is one that would have been refused, so
+// issue order, MigNACK draws and done/fail cycles are those of retrying
+// every pending line on every cycle.
 func (h *HBM) tickPPMM(cycle uint64, job *migJob) {
+	if cycle < job.wakeAt {
+		return
+	}
+	wake := ^uint64(0)
 	for i := range job.lines {
 		l := &job.lines[i]
-		if l.state != lineStateBusy || l.endAt > cycle {
+		if l.state != lineStateBusy {
+			continue
+		}
+		if l.endAt > cycle {
+			wake = min(wake, l.endAt)
 			continue
 		}
 		// The command has released its banks and TSV set either way.
 		h.activeMigPP--
-		h.tsvBusy[l.src.Stack]--
+		h.releaseTSV(l.src.Stack)
 		// Fault injection: sample whether this MIGRATION was NACKed and
 		// must be retried. A line that exhausts its retries fails the
 		// whole job; already-failed jobs stop sampling (their lines just
@@ -196,26 +220,43 @@ func (h *HBM) tickPPMM(cycle uint64, job *migJob) {
 		job.remaining--
 	}
 	if job.failed {
-		return // stop issuing; busy lines drain, then the job retires
+		// Stop issuing; busy lines drain, then the job retires.
+		job.wakeAt = wake
+		return
 	}
 	for i := range job.lines {
 		l := &job.lines[i]
-		if l.state != lineStatePending || l.retryAt > cycle {
+		if l.state != lineStatePending {
 			continue
 		}
-		if !h.tryIssueMigration(cycle, l) {
+		if at := max(l.retryAt, l.wakeAt); at > cycle {
+			wake = min(wake, at)
+			continue
+		}
+		ok, at := h.tryIssueMigration(cycle, l)
+		if !ok {
+			l.wakeAt = at
+			wake = min(wake, at)
 			continue
 		}
 		l.state = lineStateBusy
 		l.endAt = cycle + uint64(h.cfg.MigrationCycles)
 		h.activeMigPP++
-		h.tsvBusy[l.src.Stack]++
+		h.holdTSV(l.src.Stack, l.endAt)
+		wake = min(wake, l.endAt)
 	}
+	job.wakeAt = wake
 }
 
 // tryIssueMigration checks resource availability for one MIGRATION command
-// and, if available, reserves the banks and bank-group paths.
-func (h *HBM) tryIssueMigration(cycle uint64, l *migLine) bool {
+// and, if available, reserves the banks and bank-group paths. On refusal it
+// also returns the first cycle at which the refusing resource can free. The
+// bounds are exact because nothing they read ever moves earlier: a bank's
+// readyAt only grows (schedule issues no earlier than it, ReserveBus and
+// InjectBankFault take a max), a bank group's migBusyTil is set only here,
+// past its old value, and a channel's busFreeAt only grows; see idleTSV for
+// the TSV bound.
+func (h *HBM) tryIssueMigration(cycle uint64, l *migLine) (bool, uint64) {
 	srcCh := h.channels[l.src.GlobalChannel(h.cfg.ChannelsPerStack)]
 	dstCh := h.channels[l.dst.GlobalChannel(h.cfg.ChannelsPerStack)]
 	sb := &srcCh.banks[l.src.BankGroup*h.cfg.BanksPerGroup+l.src.Bank]
@@ -223,14 +264,11 @@ func (h *HBM) tryIssueMigration(cycle uint64, l *migLine) bool {
 	sg := &srcCh.groups[l.src.BankGroup]
 	dg := &dstCh.groups[l.dst.BankGroup]
 	c := int64(cycle)
-	if sb.readyAt > c || db.readyAt > c {
-		return false
+	if sb.readyAt > c || db.readyAt > c || sg.migBusyTil > c || dg.migBusyTil > c {
+		return false, uint64(max(sb.readyAt, db.readyAt, sg.migBusyTil, dg.migBusyTil))
 	}
-	if sg.migBusyTil > c || dg.migBusyTil > c {
-		return false
-	}
-	if !h.idleTSVAvailable(cycle, l.src.Stack) {
-		return false
+	if ok, at := h.idleTSV(cycle, l.src.Stack); !ok {
+		return false, at
 	}
 	end := c + int64(h.cfg.MigrationCycles)
 	// The 40-cycle MIGRATION budget includes closing/activating rows
@@ -248,21 +286,54 @@ func (h *HBM) tryIssueMigration(cycle uint64, l *migLine) bool {
 	srcCh.migBusyTil = maxI(srcCh.migBusyTil, end)
 	dstCh.migBusyTil = maxI(dstCh.migBusyTil, end)
 	srcCh.stats.Migrations++
-	return true
+	return true, 0
 }
 
-// idleTSVAvailable reports whether the stack has a TSV set free for a
-// MIGRATION: some channel in the stack whose data bus is idle, beyond those
-// already borrowed by in-flight MIGRATIONs in that stack.
-func (h *HBM) idleTSVAvailable(cycle uint64, stack int) bool {
+// idleTSV reports whether the stack has a TSV set free for a MIGRATION:
+// some channel in the stack whose data bus is idle, beyond those already
+// borrowed by in-flight MIGRATIONs in that stack. When none is, it also
+// returns the first cycle one can be: the earlier of the stack's next bus
+// release and its earliest in-flight MIGRATION end. Until then no busy bus
+// can free (busFreeAt only grows) and tsvBusy cannot fall (it falls only
+// when a MIGRATION ends), while an issue only borrows more.
+func (h *HBM) idleTSV(cycle uint64, stack int) (bool, uint64) {
 	idle := 0
+	c := int64(cycle)
+	next := int64(^uint64(0) >> 1)
 	base := stack * h.cfg.ChannelsPerStack
-	for c := 0; c < h.cfg.ChannelsPerStack; c++ {
-		if h.channels[base+c].busFreeAt <= int64(cycle) {
+	for i := 0; i < h.cfg.ChannelsPerStack; i++ {
+		if at := h.channels[base+i].busFreeAt; at <= c {
 			idle++
+		} else {
+			next = min(next, at)
 		}
 	}
-	return idle > h.tsvBusy[stack]
+	if idle > h.tsvBusy[stack] {
+		return true, 0
+	}
+	if h.tsvBusy[stack] > 0 {
+		next = min(next, int64(h.migEnds[base+h.migEndHead[stack]]))
+	}
+	return false, uint64(next)
+}
+
+// holdTSV borrows one of the stack's TSV sets for a MIGRATION ending at end.
+// The stack's in-flight end times form a FIFO ring: every MIGRATION lasts
+// MigrationCycles, so ends arrive in issue order, and a stack holds at most
+// ChannelsPerStack of them (an issue needs more idle buses than borrowed
+// sets).
+func (h *HBM) holdTSV(stack int, end uint64) {
+	n := h.cfg.ChannelsPerStack
+	h.migEnds[stack*n+(h.migEndHead[stack]+h.tsvBusy[stack])%n] = end
+	h.tsvBusy[stack]++
+}
+
+// releaseTSV returns the TSV set of the stack's earliest-ending MIGRATION.
+// Lines retire in end order (each job is ticked at its lines' endAt), so
+// the ring's head is the retiring line's end time.
+func (h *HBM) releaseTSV(stack int) {
+	h.migEndHead[stack] = (h.migEndHead[stack] + 1) % h.cfg.ChannelsPerStack
+	h.tsvBusy[stack]--
 }
 
 // tickCopy drives READ/WRITE-based migration (UGPU-Soft and UGPU-Ori). Reads

@@ -73,7 +73,10 @@ func planWindows(rng splitmix64, gpus, n int, horizon uint64, length func(horizo
 	victims := pickDistinct(&rng, gpus, n)
 	plan := make([]window, 0, n)
 	for i, g := range victims {
-		start := lo + uint64(i+1)*step + rng.next()%(step/2+1)
+		// With more victims than the band has cycles the floored step runs
+		// starts past the band; the clamp keeps every window inside it
+		// (a crash before hi, a gray window at least one cycle long).
+		start := min(lo+uint64(i+1)*step+rng.next()%(step/2+1), hi-max(winLen, 1))
 		plan = append(plan, window{start: start, end: min(start+winLen, hi), gpu: g})
 	}
 	sort.Slice(plan, func(a, b int) bool {

@@ -189,3 +189,29 @@ func TestPlannerSchedulesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestPlannerKeepsCrowdedWindowsInBand plans more victims than the
+// 20%..80% band has cycles: every gray window must still last at least one
+// cycle and every crash must land before the band's end.
+func TestPlannerKeepsCrowdedWindowsInBand(t *testing.T) {
+	const gpus, victims, horizon = 300, 200, 150
+	hi := uint64(horizon * 4 / 5)
+	gray := PlanGrayFaults(3, gpus, GraySpec{GPUs: victims, SMStep: 3, Window: 0.25}, horizon)
+	if len(gray) != victims {
+		t.Fatalf("planned %d gray windows, want %d", len(gray), victims)
+	}
+	for _, w := range gray {
+		if w.End <= w.Start || w.End > hi {
+			t.Errorf("gray window [%d, %d) on GPU %d leaves the band or is empty (band end %d)", w.Start, w.End, w.GPU, hi)
+		}
+	}
+	crashes := PlanGPUCrashes(3, gpus, victims, horizon)
+	if len(crashes) != victims {
+		t.Fatalf("planned %d crashes, want %d", len(crashes), victims)
+	}
+	for _, c := range crashes {
+		if c.Cycle >= hi {
+			t.Errorf("crash of GPU %d at cycle %d, want before %d", c.GPU, c.Cycle, hi)
+		}
+	}
+}

@@ -11,9 +11,10 @@ package gpu
 //   - object pools and scratch (freeReqs, freeDramReqs, freeWaiters,
 //     epochDeltas/epochOut, the wheel's spare pool),
 //   - the fast-forward engine's bookkeeping (activeSM, smInSet, smParked,
-//     smParkedAt, switchingInSet, pendingWakes, ffStats) — it exists only in
-//     one mode; the lazily-accrued stall statistics it defers are settled
-//     (settleParked) before any SM digests,
+//     smParkedAt, switchingInSet, pendingWakes, ffStats, sprintFrom,
+//     sprintEnd, sprintWarp) — it exists only in one mode; the lazily-accrued
+//     stall and sprint statistics it defers are settled (settleParked)
+//     before any SM digests,
 //   - watchdog fields (lastFingerprint, lastProgressAt), which depend on
 //     RunChecked's slicing cadence, not on machine state,
 //   - cached bounds (wheel.nextAt/overMin; bucket-vs-overflow residency is
@@ -59,11 +60,14 @@ func hashWheelEvent(ev *wheelEvent) digest.Hash {
 // appendDigest folds the wheel as one unordered multiset over every pending
 // event, wherever it currently lives: a deadline's residency (bucket vs
 // overflow, and when the overflow drained) legitimately differs between
-// fast-forward modes, but the logical event set does not.
-func (w *wheel) appendDigest(h digest.Hash) digest.Hash {
+// fast-forward modes, but the logical event set does not. Bucketed events
+// lie in [cycle, cycle+wheelSize), so the bucket scan starts at cycle's
+// bucket and stops once it has seen all of them.
+func (w *wheel) appendDigest(h digest.Hash, cycle uint64) digest.Hash {
 	var acc digest.Acc
-	for i := range w.buckets {
-		b := w.buckets[i]
+	inBuckets := uint64(w.pending - len(w.overflow))
+	for k := cycle; k < cycle+wheelSize && acc.Len() < inBuckets; k++ {
+		b := w.buckets[k&(wheelSize-1)]
 		for j := range b {
 			acc.Add(hashWheelEvent(&b[j]))
 		}
@@ -98,7 +102,14 @@ func (g *GPU) DigestComponents(rec *digest.Recorder) {
 	// SMs and LLC slices digest two at a time: each component is an
 	// independent FNV chain, and folding a pair's tag arrays and replay
 	// queues in lockstep lets the CPU overlap the two chains' multiplies.
+	// The replay queues, the longest chains, fold four SMs at a time.
 	i := 0
+	for ; i+3 < len(g.sms); i += 4 {
+		h := g.digestSMQuad([4]int{i, i + 1, i + 2, i + 3})
+		for k := range h {
+			rec.Add(g.digestSMNames[i+k], h[k])
+		}
+	}
 	for ; i+1 < len(g.sms); i += 2 {
 		h0, h1 := g.digestSMPair(i, i+1)
 		rec.Add(g.digestSMNames[i], h0)
@@ -128,7 +139,7 @@ func (g *GPU) DigestComponents(rec *digest.Recorder) {
 
 	rec.Add("dram", g.hbm.AppendDigest(digest.New()))
 	rec.Add("vm", g.vmm.AppendDigest(digest.New()))
-	rec.Add("wheel", g.wheel.appendDigest(digest.New()))
+	rec.Add("wheel", g.wheel.appendDigest(digest.New(), g.cycle))
 
 	h = digest.New().Int(len(g.apps))
 	for _, app := range g.apps {
@@ -205,11 +216,36 @@ func (g *GPU) digestSM(i int) digest.Hash {
 // digestSMPair returns (g.digestSM(i), g.digestSM(j)), folding the two tag
 // arrays and replay queues in lockstep.
 func (g *GPU) digestSMPair(i, j int) (digest.Hash, digest.Hash) {
-	hi, hj := cache.AppendDigestPair(
-		g.sms[i].AppendDigest(digest.New()), g.smL1[i],
-		g.sms[j].AppendDigest(digest.New()), g.smL1[j])
-	hi, hj = g.appendSMMiss(hi, i), g.appendSMMiss(hj, j)
+	hi, hj := g.digestSMPairHead(i, j)
 	return appendReplayPair(hi, g.replayQ[i].pending(), hj, g.replayQ[j].pending())
+}
+
+// digestSMQuad returns g.digestSM of each of the four SMs: two pairs whose
+// replay queues fold in lockstep, four chains wide over their common prefix.
+func (g *GPU) digestSMQuad(ids [4]int) [4]digest.Hash {
+	var h [4]digest.Hash
+	var q [4][]replayReq
+	for k := 0; k < 4; k += 2 {
+		h[k], h[k+1] = g.digestSMPairHead(ids[k], ids[k+1])
+	}
+	for k, id := range ids {
+		q[k] = g.replayQ[id].pending()
+	}
+	n := min(len(q[0]), len(q[1]), len(q[2]), len(q[3]))
+	for j := 0; j < n; j++ {
+		h[0], h[1] = appendReplayPairAt(h[0], &q[0][j], h[1], &q[1][j])
+		h[2], h[3] = appendReplayPairAt(h[2], &q[2][j], h[3], &q[3][j])
+	}
+	h[0], h[1] = appendReplayPair(h[0], q[0][n:], h[1], q[1][n:])
+	h[2], h[3] = appendReplayPair(h[2], q[2][n:], h[3], q[3][n:])
+	return h
+}
+
+// digestSMPairHead folds SMs i and j up to their replay queues.
+func (g *GPU) digestSMPairHead(i, j int) (digest.Hash, digest.Hash) {
+	hi, hj := sm.AppendDigestPair(digest.New(), g.sms[i], digest.New(), g.sms[j])
+	hi, hj = cache.AppendDigestPair(hi, g.smL1[i], hj, g.smL1[j])
+	return g.appendSMMiss(hi, i), g.appendSMMiss(hj, j)
 }
 
 // appendSMMiss folds SM i's L1 MSHR, L1 TLB, epoch baseline and replay
@@ -224,6 +260,14 @@ func appendReplay(h digest.Hash, r *replayReq) digest.Hash {
 	return r.w.AppendDigest(h.Int(r.app).U64(r.pa).U64(r.vpn))
 }
 
+// appendReplayPairAt returns (appendReplay(ha, a), appendReplay(hb, b)).
+func appendReplayPairAt(ha digest.Hash, a *replayReq, hb digest.Hash, b *replayReq) (digest.Hash, digest.Hash) {
+	ha, hb = ha.Int(a.app), hb.Int(b.app)
+	ha, hb = ha.U64(a.pa), hb.U64(b.pa)
+	ha, hb = ha.U64(a.vpn), hb.U64(b.vpn)
+	return sm.AppendWarpDigestPair(ha, a.w, hb, b.w)
+}
+
 func appendReplays(h digest.Hash, q []replayReq) digest.Hash {
 	for k := range q {
 		h = appendReplay(h, &q[k])
@@ -236,7 +280,7 @@ func appendReplays(h digest.Hash, q []replayReq) digest.Hash {
 func appendReplayPair(ha digest.Hash, qa []replayReq, hb digest.Hash, qb []replayReq) (digest.Hash, digest.Hash) {
 	n := min(len(qa), len(qb))
 	for k := 0; k < n; k++ {
-		ha, hb = appendReplay(ha, &qa[k]), appendReplay(hb, &qb[k])
+		ha, hb = appendReplayPairAt(ha, &qa[k], hb, &qb[k])
 	}
 	return appendReplays(ha, qa[n:]), appendReplays(hb, qb[n:])
 }

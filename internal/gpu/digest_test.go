@@ -159,9 +159,10 @@ func refSMDigest(g *GPU, i int) digest.Hash {
 	return h
 }
 
-// TestPairedSMDigestMatchesSingle: on a machine with an odd SM count (the
-// last SM folds alone) and replay queues of unequal lengths, every SM
-// component of the paired snapshot equals the reference single-SM fold.
+// TestPairedSMDigestMatchesSingle: on a machine with an odd SM count (a
+// quad, a pair, and a last SM that folds alone) and replay queues of
+// unequal lengths, every SM component of the paired snapshot equals the
+// reference single-SM fold.
 func TestPairedSMDigestMatchesSingle(t *testing.T) {
 	cfg := testConfig()
 	cfg.NumSMs = 7
@@ -208,5 +209,12 @@ func TestPairedSMDigestMatchesSingle(t *testing.T) {
 	}
 	if h0, h1 = g.digestSMPair(2, 1); h0 != refSMDigest(g, 2) || h1 != refSMDigest(g, 1) {
 		t.Error("digestSMPair(2, 1) differs from the single-SM folds")
+	}
+	// Four non-empty queues of lengths 5, 3, 2 and 4.
+	ids := [4]int{1, 4, 5, 6}
+	for k, h := range g.digestSMQuad(ids) {
+		if h != refSMDigest(g, ids[k]) {
+			t.Errorf("digestSMQuad(%v): SM %d differs from the single-SM fold", ids, ids[k])
+		}
 	}
 }

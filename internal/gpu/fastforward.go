@@ -4,8 +4,10 @@ package gpu
 //
 // The per-cycle loop in tick() is exact but wasteful when the machine is
 // quiescent: every warp blocked on memory, every network and DRAM queue
-// empty, nothing due on the timer wheel. Two complementary mechanisms remove
-// that waste without changing a single observable result:
+// empty, nothing due on the timer wheel. It is also wasteful on a busy
+// machine whose SMs run compute-bound kernels, where a tick only issues the
+// greedy warp's next compute instruction. Three mechanisms remove that waste
+// without changing a single observable result:
 //
 //  1. Cycle skipping. Before each tick, nextActivity() computes a
 //     conservative lower bound on the earliest cycle at which tick() could
@@ -29,7 +31,23 @@ package gpu
 //     id so issue order — and therefore every downstream NoC/DRAM
 //     sequence — matches the baseline loop exactly.
 //
-// Both mechanisms are elisions of provable no-ops, so Totals, epoch stats,
+//  3. Compute sprints. After tickSMs ticks an Active/Draining SM whose
+//     retry list is empty and whose GTO warp is ready with no pending
+//     addresses, it peeks that warp's RNG (sm.ComputeSprint) for the
+//     pure-compute run ahead and skips the SM's next run/SchedulersPerSM
+//     ticks, at most sprintCap: each would only issue one compute
+//     instruction per scheduler from the same warp. A skipped tick reads
+//     one word of the dense sprintEnd array. The ticks are credited in
+//     closed form (sm.AccrueSprint: ActiveCycles, Instructions, IssueSlots
+//     and the stream's draws) at the sprint's end before the SM's next real
+//     tick, in settleParked (EndEpoch, DigestComponents, SMActiveCycles,
+//     the watchdog's progressFingerprint), and in onSMWake, which then
+//     cancels the sprint. A sprint never covers a warp's last quota
+//     instruction, whose thread-block refill draws from the app's global
+//     dispatch order. Sprints run only without a power manager: a DVFS
+//     gate would make the skipped ticks depend on the domain's clock.
+//
+// All three mechanisms are elisions of provable no-ops, so Totals, epoch stats,
 // traces, and figure outputs are byte-identical with the engine on or off
 // (Options.NoFastForward). The differential tests in fastforward_test.go,
 // the experiments package's TestModeMatrix and `make smoke` pin that
@@ -37,6 +55,9 @@ package gpu
 
 import "ugpu/internal/sm"
 import "ugpu/internal/trace"
+
+// sprintCap bounds one compute sprint, in SM ticks.
+const sprintCap = 1024
 
 // FastForwardStats reports how much work the engine elided (diagnostics).
 type FastForwardStats struct {
@@ -163,6 +184,10 @@ func (g *GPU) nextActivity() uint64 {
 // active set if its state warrants ticking.
 func (g *GPU) onSMWake(s *sm.SM) {
 	id := s.ID
+	if g.sprintEnd != nil && g.sprintEnd[id] != 0 {
+		g.settleSprint(id)
+		g.sprintEnd[id], g.sprintWarp[id] = 0, nil
+	}
 	if g.smParked[id] {
 		g.settleSM(id)
 		g.smParked[id] = false
@@ -206,14 +231,33 @@ func (g *GPU) settleSM(id int) {
 	}
 }
 
-// settleParked settles every parked SM up to the current cycle so Stats()
-// reads are exact at observation points (epoch boundaries, energy totals).
-// The SMs stay parked.
+// settleParked settles every parked and sprinting SM up to the current
+// cycle so Stats() reads are exact at observation points (epoch boundaries,
+// energy totals, digests, the watchdog). The SMs stay parked and their
+// sprints go on.
 func (g *GPU) settleParked() {
 	for id := range g.smParked {
 		if g.smParked[id] {
 			g.settleSM(id)
 		}
+	}
+	for id, end := range g.sprintEnd {
+		if end != 0 {
+			g.settleSprint(id)
+		}
+	}
+}
+
+// settleSprint credits a sprinting SM with the ticks of its sprint before
+// the current cycle. Those are exactly the ticks the per-cycle loop has run
+// by the time anything settles: settle points lie outside tickSMs (wakes
+// come from the wheel, the NoC, faults and epoch-boundary calls), except an
+// SM's wake during its own tick, whose sprint tickSMs has already ended.
+func (g *GPU) settleSprint(id int) {
+	upTo := min(g.cycle, g.sprintEnd[id])
+	if from := g.sprintFrom[id]; upTo > from {
+		g.sms[id].AccrueSprint(g.sprintWarp[id], upTo-from)
+		g.sprintFrom[id] = upTo
 	}
 }
 
@@ -243,6 +287,7 @@ func (g *GPU) tickSMs(c uint64) {
 	// steady-state common case) the per-SM gate is a guaranteed no-op, so
 	// skip it for the whole cycle with one branch.
 	gated := g.pm != nil && !g.pm.SMAllNominal()
+	sprints := g.sprintEnd != nil
 	for _, id := range a {
 		s := g.sms[id]
 		if gated {
@@ -253,6 +298,14 @@ func (g *GPU) tickSMs(c uint64) {
 				kept = append(kept, id)
 				continue
 			}
+		} else if sprints {
+			if end := g.sprintEnd[id]; end > c {
+				kept = append(kept, id)
+				continue
+			} else if end != 0 {
+				g.settleSprint(int(id))
+				g.sprintEnd[id], g.sprintWarp[id] = 0, nil
+			}
 		}
 		s.Tick(c, g)
 		s.RetryBlocked(c, g)
@@ -260,6 +313,12 @@ func (g *GPU) tickSMs(c uint64) {
 		case sm.Active, sm.Draining:
 			if s.CanIssue() || s.RetryLen() > 0 {
 				kept = append(kept, id)
+				if sprints {
+					if w, n := s.ComputeSprint(sprintCap); n > 0 {
+						g.sprintWarp[id] = w
+						g.sprintFrom[id], g.sprintEnd[id] = c+1, c+1+uint64(n)
+					}
+				}
 			} else {
 				// Every warp blocked: the only effect of further ticks is the
 				// (+1 active, +1 stall) accrual, owed from the next cycle.

@@ -295,6 +295,13 @@ type GPU struct {
 	pendingWakes   []int32
 	ffStats        FastForwardStats
 
+	// Compute sprints (fastforward.go), allocated only with fast-forward on
+	// and no power manager. SM id sprints through [sprintFrom, sprintEnd)
+	// on warp sprintWarp while sprintEnd[id] != 0.
+	sprintFrom []uint64
+	sprintEnd  []uint64
+	sprintWarp []*sm.Warp
+
 	// Reused EndEpoch output buffers (alloc-free epoch boundaries).
 	epochDeltas []uint64
 	epochOut    []EpochStats
@@ -558,6 +565,11 @@ func New(cfg config.Config, specs []AppSpec, opt Options) (*GPU, error) {
 		g.smParkedAt = make([]uint64, cfg.NumSMs)
 		g.activeSM = make([]int32, 0, cfg.NumSMs)
 		wake = g.onSMWake
+		if g.pm == nil {
+			g.sprintFrom = make([]uint64, cfg.NumSMs)
+			g.sprintEnd = make([]uint64, cfg.NumSMs)
+			g.sprintWarp = make([]*sm.Warp, cfg.NumSMs)
+		}
 	}
 	for i := range g.sms {
 		g.sms[i] = sm.New(i, cfg.TBsPerSM(), cfg.WarpsPerTB, cfg.SchedulersPerSM)

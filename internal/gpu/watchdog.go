@@ -103,6 +103,7 @@ func (g *GPU) TakeSnapshot() Snapshot {
 // into one value: if any instruction issued, any event fired, any NoC
 // message moved, or any DRAM command completed, the fingerprint changes.
 func (g *GPU) progressFingerprint() uint64 {
+	g.settleParked() // credit sprinted instructions
 	var instr uint64
 	for _, smu := range g.sms {
 		instr += smu.Stats().Instructions

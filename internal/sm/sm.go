@@ -677,6 +677,36 @@ func (s *SM) AccrueStall(n uint64) {
 	s.stats.StallCycles += n
 }
 
+// ComputeSprint reports how many of the SM's next ticks provably issue only
+// pure-compute instructions from its greedy warp, at most maxTicks, and that
+// warp. It is 0 unless the SM is Active or Draining with an empty retry list
+// and its current GTO warp is ready with no pending addresses: then every
+// scheduler of each such tick picks that warp again (GTO stays on a ready
+// warp, and only its own issue or a Wake-signalled change can block it) and
+// issues its next instruction. A tick never covers the warp's last quota
+// instruction (see workload.WarpStream.ComputeRun).
+func (s *SM) ComputeSprint(maxTicks int) (*Warp, int) {
+	if (s.state != Active && s.state != Draining) || len(s.retry) > 0 || s.ready>>uint(s.current)&1 == 0 {
+		return nil, 0
+	}
+	w := s.warps[s.current]
+	if len(w.pending) > 0 {
+		return nil, 0
+	}
+	return w, w.Stream.ComputeRun(maxTicks*s.schedulers) / s.schedulers
+}
+
+// AccrueSprint charges n ticks of a compute sprint on warp w (as returned
+// by ComputeSprint) in closed form: exactly what n consecutive Tick calls
+// record when every scheduler issues a pure-compute instruction from w.
+func (s *SM) AccrueSprint(w *Warp, n uint64) {
+	k := n * uint64(s.schedulers)
+	s.stats.ActiveCycles += n
+	s.stats.Instructions += k
+	s.stats.IssueSlots += k
+	w.Stream.SkipCompute(int(k))
+}
+
 // InvalidateTranslationFilters clears every resident warp's one-entry
 // translation filter; the gpu package calls it when TLBs are flushed during
 // memory resource reallocation.

@@ -34,12 +34,27 @@ func (ws *WarpStream) AppendDigest(h digest.Hash) digest.Hash {
 	if ws == nil {
 		return h.Bool(false)
 	}
+	return h.U64(ws.immHash).
+		U64(ws.cursor).U64(ws.hotPage).U64(ws.mode()).U64(ws.rng)
+}
+
+// AppendDigestPair returns (a.AppendDigest(ha), b.AppendDigest(hb)) for two
+// non-nil streams, folding them in lockstep so the two chains overlap.
+func AppendDigestPair(ha digest.Hash, a *WarpStream, hb digest.Hash, b *WarpStream) (digest.Hash, digest.Hash) {
+	ha, hb = ha.U64(a.immHash), hb.U64(b.immHash)
+	ha, hb = ha.U64(a.cursor), hb.U64(b.cursor)
+	ha, hb = ha.U64(a.hotPage), hb.U64(b.hotPage)
+	ha, hb = ha.U64(a.mode()), hb.U64(b.mode())
+	return ha.U64(a.rng), hb.U64(b.rng)
+}
+
+// mode packs the run-mode trio (modeHot, modeLeft, issued) into one word.
+func (ws *WarpStream) mode() uint64 {
 	mode := uint64(ws.issued)<<32 | uint64(uint32(ws.modeLeft))<<1
 	if ws.modeHot {
 		mode |= 1
 	}
-	return h.U64(ws.immHash).
-		U64(ws.cursor).U64(ws.hotPage).U64(mode).U64(ws.rng)
+	return mode
 }
 
 // AppendDigest folds the dispatcher's kernel-cycling cursor (the state that

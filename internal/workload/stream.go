@@ -240,6 +240,36 @@ func (ws *WarpStream) NextInstr(buf []uint64) []uint64 {
 	return buf
 }
 
+// ComputeRun counts the pure-compute instructions NextInstr would issue
+// next, without advancing the stream. The count stops at the first memory
+// instruction, at limit, and before the quota's last instruction: that one
+// completes the warp, so a caller skipping the counted instructions never
+// skips it.
+func (ws *WarpStream) ComputeRun(limit int) int {
+	limit = min(limit, ws.quota-ws.issued-1)
+	r := ws.rng
+	n := 0
+	for n < limit {
+		r ^= r << 13
+		r ^= r >> 7
+		r ^= r << 17
+		if uint32(r) < ws.memThresh {
+			break
+		}
+		n++
+	}
+	return n
+}
+
+// SkipCompute advances the stream over n pure-compute instructions exactly
+// as n NextInstr calls would; n must not exceed ComputeRun's count.
+func (ws *WarpStream) SkipCompute(n int) {
+	ws.issued += n
+	for ; n > 0; n-- {
+		ws.next()
+	}
+}
+
 // Done reports whether the warp has exhausted its TB instruction quota.
 func (ws *WarpStream) Done() bool { return ws.issued >= ws.quota }
 

@@ -356,3 +356,48 @@ func TestWarpStreamSeedDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestComputeRunMatchesNextInstr: ComputeRun counts exactly the
+// pure-compute instructions NextInstr issues next, at most its limit and
+// never the quota's last one, and SkipCompute over them leaves the stream
+// where NextInstr would.
+func TestComputeRunMatchesNextInstr(t *testing.T) {
+	for _, abbr := range []string{"DXTC", "CP", "LBM"} {
+		b, _ := ByAbbr(abbr)
+		d := NewDispatcher(b, 4, 4096)
+		tb := d.NextTB()
+		ws, ref := d.NewWarpStream(tb, 0, 4096, 7), d.NewWarpStream(tb, 0, 4096, 7)
+		buf := make([]uint64, 0, 8)
+		for step := 0; !ref.Done(); step++ {
+			limit := 1 << 20
+			if step%3 == 0 {
+				limit = 5
+			}
+			n := ws.ComputeRun(limit)
+			if n > limit {
+				t.Fatalf("%s: run %d exceeds limit %d", abbr, n, limit)
+			}
+			for i := 0; i < n; i++ {
+				if len(ref.NextInstr(buf)) != 0 {
+					t.Fatalf("%s: instruction %d of a %d-instruction compute run loads", abbr, i, n)
+				}
+			}
+			ws.SkipCompute(n)
+			if !reflect.DeepEqual(ws, ref) {
+				t.Fatalf("%s: stream after SkipCompute(%d) differs from NextInstr's", abbr, n)
+			}
+			if ref.Done() {
+				t.Fatalf("%s: compute run of %d covers the quota's last instruction", abbr, n)
+			}
+			// The run stops at the limit, the quota's last instruction or a load.
+			last, capped := ref.Remaining() == 1, n == limit
+			if got := ref.NextInstr(buf); len(got) == 0 && !last && !capped {
+				t.Fatalf("%s: compute run of %d stops before a compute instruction", abbr, n)
+			}
+			ws.NextInstr(buf)
+		}
+		if ref.Issued() != tb.Kernel.InstrPerWarp {
+			t.Errorf("%s: reference issued %d of %d", abbr, ref.Issued(), tb.Kernel.InstrPerWarp)
+		}
+	}
+}
