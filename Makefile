@@ -34,8 +34,9 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
-## bench-once: every Go benchmark for one iteration (~20-25 s on 2 cores with a
-## warm build cache), so a benchmark that no longer builds or runs fails the gate
+## bench-once: every Go benchmark (the internal/ hot-path benchmarks) for one
+## iteration (~5 s on 2 cores with a warm build cache), so a benchmark that no
+## longer builds or runs fails the gate
 bench-once:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -196,31 +197,30 @@ func pageLinePairs(m *addr.CustomMapper, srcGroup, dstGroup int, frame uint64) (
 	return m.PageLines(srcBase), m.PageLines(dstBase)
 }
 
+// TestPPMMPageMigrationLatency: 32 lines over 16 parallel (stack,
+// bank-group) units make 2 serialized rounds of MigrationCycles per page on
+// an idle system, and queued pages pipeline at that cost, so bulk
+// reallocation scales linearly in pages.
 func TestPPMMPageMigrationLatency(t *testing.T) {
-	h, m, cfg := testHBM()
-	src, dst := pageLinePairs(m, 0, 1, 0)
-	var doneAt uint64
-	pending := 1
-	if err := h.StartMigration(0, src, dst, ModePPMM, 0, func(c uint64) { doneAt = c; pending-- }); err != nil {
-		t.Fatal(err)
-	}
-	cycle := uint64(0)
-	for pending > 0 && cycle < 10000 {
-		h.Tick(cycle)
-		cycle++
-	}
-	if pending != 0 {
-		t.Fatal("migration never completed")
-	}
-	// 32 lines over 16 parallel (stack, bank-group) units = 2 serialized
-	// rounds of MigrationCycles on an idle system, plus tick granularity.
-	min := uint64(2 * cfg.MigrationCycles)
-	max := min + 10
-	if doneAt < min || doneAt > max {
-		t.Errorf("idle PPMM page migration took %d cycles, want in [%d, %d]", doneAt, min, max)
-	}
-	if got := h.TotalStats().Migrations; got != 32 {
-		t.Errorf("MIGRATION commands = %d, want 32", got)
+	for _, pages := range []int{1, 8} {
+		h, m, cfg := testHBM()
+		pending := pages
+		var doneAt uint64
+		for p := range pages {
+			src, dst := pageLinePairs(m, 0, 1, uint64(p))
+			if err := h.StartMigration(0, src, dst, ModePPMM, 0, func(c uint64) { doneAt = max(doneAt, c); pending-- }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run(t, h, 0, 10000, &pending)
+		lo := uint64(2 * cfg.MigrationCycles)
+		hi := lo + 10 // tick granularity
+		if per := doneAt / uint64(pages); per < lo || per > hi {
+			t.Errorf("%d queued PPMM pages took %d cycles/page, want in [%d, %d]", pages, per, lo, hi)
+		}
+		if got := h.TotalStats().Migrations; got != uint64(32*pages) {
+			t.Errorf("%d pages: MIGRATION commands = %d, want %d", pages, got, 32*pages)
+		}
 	}
 }
 
@@ -258,6 +258,42 @@ func TestMigrationModeOrdering(t *testing.T) {
 	ori := measure(ModeCrossStack)
 	if !(ppmm < soft && soft < ori) {
 		t.Errorf("migration latencies PPMM=%d soft=%d ori=%d, want strictly increasing", ppmm, soft, ori)
+	}
+}
+
+// TestCustomMappingStreamsLikeInterleaved: a sequential stream costs the
+// same per line under the Figure 8 mapping (a page confined to one channel
+// per stack, the channel rotating per page) as under traditional
+// interleaving (lines rotating over all 32 channels), so the mapping's
+// isolation and cheap migration cost streams nothing (Section 4.3).
+func TestCustomMappingStreamsLikeInterleaved(t *testing.T) {
+	cfg := config.Default()
+	const lines = 2048
+	measure := func(m addr.Mapper) float64 {
+		h := New(cfg, 1)
+		pending, next := 0, 0
+		var last uint64
+		for cycle := uint64(0); pending > 0 || next < lines; cycle++ {
+			for ; next < lines; next++ {
+				req := &Request{Loc: m.Decode(uint64(next) * uint64(cfg.L1LineBytes)), Done: func(f uint64, _ *Request) {
+					pending--
+					last = max(last, f)
+				}}
+				if !h.Enqueue(cycle, req) {
+					break
+				}
+				pending++
+			}
+			h.Tick(cycle)
+			if cycle > 10_000_000 {
+				t.Fatal("stream never drained")
+			}
+		}
+		return float64(last) / lines
+	}
+	custom, inter := measure(addr.NewCustomMapper(cfg)), measure(addr.NewInterleavedMapper(cfg))
+	if custom != inter || math.Abs(custom-0.2012) > 5e-5 {
+		t.Errorf("custom mapping streams at %.4f cycles/line, interleaved at %.4f; want both 0.2012", custom, inter)
 	}
 }
 

@@ -35,7 +35,7 @@ func runMatrix(o Options, gen func(Options) (Figure, error)) (matrixRun, error) 
 }
 
 // matrixRuns memoises each (row, mode) run, so TestModeMatrix and the
-// single-property tests after it share one simulation per pair.
+// digest tests after it share one simulation per pair.
 var matrixRuns sync.Map // "row/mode" -> *memoRun
 
 type memoRun struct {
@@ -183,10 +183,7 @@ func checkLabels(t *testing.T, s Series, names ...string) {
 // faultRow is the faults row's options: the custom-arm sweep, healthy plus
 // SM, channel-group and migration-NACK damage.
 func faultRow() Options {
-	o := tiny()
-	o.Cfg.MaxCycles = 60_000
-	o.Cfg.EpochCycles = 15_000
-	o.Mixes = 2
+	o := scale(60_000, 2)
 	o.FaultSpec = "sm=2,group=1,mig=0.05"
 	o.FaultSeed = 7
 	return o
@@ -194,8 +191,7 @@ func faultRow() Options {
 
 // serveRow is the serve rows' options (ServeSweep doubles the horizon).
 func serveRow(faults string) Options {
-	o := tiny()
-	o.Cfg.MaxCycles = 40_000
+	o := scale(40_000, 1)
 	o.ServeSeed = 9
 	o.FaultSpec = faults
 	o.FaultSeed = 7
@@ -204,18 +200,10 @@ func serveRow(faults string) Options {
 
 // clusterRow is the cluster rows' options.
 func clusterRow(cycles int) Options {
-	o := tiny()
-	o.Cfg.MaxCycles = cycles
+	o := scale(cycles, 1)
 	o.ServeSeed = 9
 	o.Brownout = true
 	o.DVFS = true
-	return o
-}
-
-// mixRow is the paper-figure rows' options: two mixes per sweep.
-func mixRow() Options {
-	o := tiny()
-	o.Mixes = 2
 	return o
 }
 
@@ -280,7 +268,7 @@ var matrixRows = []matrixRow{
 			checkLabels(t, r.fig.Series[0], "baseline", "dvfs", "cap-85", "cap-70")
 			checkKinds(t, r.trace, "power")
 		}},
-	{name: "fig10", opts: mixRow(), gen: Options.Figure10, closed: true,
+	{name: "fig10", opts: scale(30_000, 2), gen: Options.Figure10, closed: true,
 		check: func(t *testing.T, r matrixRun) {
 			var names []string
 			for _, p := range []string{"BP", "BP-BS", "BP-SB", "UGPU", "UGPU-offline"} {
@@ -288,7 +276,7 @@ var matrixRows = []matrixRow{
 			}
 			checkNames(t, r.fig, names...)
 		}},
-	{name: "fig14", opts: mixRow(), gen: Options.Figure14, closed: true,
+	{name: "fig14", opts: scale(30_000, 2), gen: Options.Figure14, closed: true,
 		check: func(t *testing.T, r matrixRun) {
 			checkNames(t, r.fig, "4-program", "8-program")
 		}},
@@ -405,8 +393,9 @@ func TestModeMatrixDetectsDivergence(t *testing.T) {
 	}
 }
 
-// The tests below each assert one of the matrix's guarantees by name,
-// reading the memoised (row, mode) runs the matrix makes.
+// The tests below assert the digest guarantees on the memoised faults-row
+// runs. Unlike TestModeMatrix they run under -short, so the race pass
+// checks digest invariance too.
 
 // requireSame fails t for each of artifacts ("figure", "log", "trace",
 // "digest note") in which row's run under mode differs from its base run.
@@ -420,79 +409,6 @@ func requireSame(t *testing.T, row, mode string, artifacts ...string) {
 			}
 		}
 	}
-}
-
-func TestGoldenFaultSweepDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-simulation sweep")
-	}
-	requireSame(t, "faults", "parallel8", "figure", "log")
-}
-
-func TestGoldenFailoverSerialVsParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-simulation sweep")
-	}
-	rowNamed("failover").check(t, rowRun(t, "failover", baseMode))
-	requireSame(t, "failover", "parallel8", "figure", "log", "trace")
-}
-
-func TestGoldenFailoverFastForwardDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-simulation sweep")
-	}
-	requireSame(t, "failover", "noff", "figure", "log")
-}
-
-func TestGoldenGraySerialVsParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-simulation sweep")
-	}
-	rowNamed("gray").check(t, rowRun(t, "gray", baseMode))
-	requireSame(t, "gray", "parallel8", "figure", "log", "trace")
-}
-
-func TestGoldenGrayFastForwardDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-simulation sweep")
-	}
-	requireSame(t, "gray", "noff", "figure", "log")
-}
-
-// TestGoldenTraceJSONLByteIdenticalSerialVsParallel: the merged JSONL is
-// byte-identical serial vs parallel on a healthy machine (the serve row)
-// and under fault injection (the faults row).
-func TestGoldenTraceJSONLByteIdenticalSerialVsParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-simulation sweep")
-	}
-	for _, tc := range []struct{ name, row string }{
-		{"healthy", "serve"},
-		{"faults", "faults"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if rowRun(t, tc.row, baseMode).trace == "" {
-				t.Fatal("traced sweep produced no JSONL")
-			}
-			requireSame(t, tc.row, "parallel8", "figure", "trace")
-		})
-	}
-}
-
-// TestGoldenTraceObservationOnly: tracing never feeds back into a
-// simulation decision, so the untraced figure equals the traced one.
-func TestGoldenTraceObservationOnly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-simulation sweep")
-	}
-	requireSame(t, "faults", "plain", "figure")
-}
-
-func TestGoldenTraceStreamWellFormed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-simulation sweep")
-	}
-	checkTraceWellFormed(t, rowRun(t, "faults", "parallel8").trace)
 }
 
 // TestSweepDigestModeInvariant: a sweep's folded state digest is

@@ -8,7 +8,9 @@ package gpu
 // core.Runner.Step), so the disabled cost is structurally zero.
 
 import (
+	"sort"
 	"testing"
+	"time"
 
 	"ugpu/internal/digest"
 )
@@ -44,40 +46,39 @@ func TestDigestSteadyStateAllocFree(t *testing.T) {
 
 // TestDigestOverheadWithinBudget asserts the 2% contract: one snapshot per
 // epoch costs at most 2% of the ns the epoch's cycles cost to simulate.
-// Both sides are measured with testing.Benchmark on the same warm machine
-// shape, so the ratio is robust to absolute machine speed.
+// Each pair builds the same warm machine and, at each of a few epoch
+// boundaries, times a batch of snapshots and then the epoch's cycles. Every
+// pair does identical work and both sides of its ratio are sampled
+// alternately over the same span, so they see the same host load; the
+// median ratio over the pairs must hold the budget.
 func TestDigestOverheadWithinBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-ratio test")
 	}
+	const pairs, epochs, snaps = 7, 4, 25
 	epochCycles := testConfig().EpochCycles
-
-	cyc := testing.Benchmark(func(b *testing.B) {
-		g := pairGPU(b, nil)
-		g.Run(20_000)
-		b.ResetTimer()
-		g.Run(uint64(b.N))
-	})
-	dig := testing.Benchmark(func(b *testing.B) {
-		g := pairGPU(b, nil)
+	pct := make([]float64, pairs)
+	for i := range pct {
+		g := pairGPU(t, nil)
 		g.Run(20_000)
 		var rec digest.Recorder
-		g.DigestComponents(&rec)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.DigestComponents(&rec)
+		g.DigestComponents(&rec) // warm the label and closure caches
+		var snap, epoch time.Duration
+		for range epochs {
+			start := time.Now()
+			for range snaps {
+				g.DigestComponents(&rec)
+			}
+			snap += time.Since(start)
+			start = time.Now()
+			g.Run(uint64(epochCycles))
+			epoch += time.Since(start)
 		}
-	})
-
-	epochNs := cyc.NsPerOp() * int64(epochCycles)
-	digNs := dig.NsPerOp()
-	if epochNs <= 0 {
-		t.Fatalf("degenerate cycle benchmark: %v", cyc)
+		pct[i] = 100 * float64(snap) / snaps / float64(epoch)
 	}
-	pct := 100 * float64(digNs) / float64(epochNs)
-	t.Logf("digest snapshot %.0f ns vs epoch (%d cycles) %.0f ns: %.3f%% overhead",
-		float64(digNs), epochCycles, float64(epochNs), pct)
-	if pct > 2 {
-		t.Errorf("per-epoch digest overhead %.2f%% exceeds the 2%% budget", pct)
+	sort.Float64s(pct)
+	t.Logf("digest snapshot vs epoch (%d cycles), sorted over %d pairs: %.3f%% overhead", epochCycles, pairs, pct)
+	if med := pct[pairs/2]; med > 2 {
+		t.Errorf("per-epoch digest overhead %.2f%% (median of %.3f) exceeds the 2%% budget", med, pct)
 	}
 }
