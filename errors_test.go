@@ -2,65 +2,33 @@ package ugpu_test
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"ugpu"
 	"ugpu/internal/config"
 )
 
-func TestJobsOfUnknownAbbr(t *testing.T) {
-	if _, err := ugpu.JobsOf("PVC", "NO-SUCH-BENCH"); err == nil {
-		t.Fatal("JobsOf accepted an unknown benchmark abbreviation")
-	} else if !strings.Contains(err.Error(), "NO-SUCH-BENCH") {
-		t.Errorf("error %q does not name the unknown abbreviation", err)
-	}
-	jobs, err := ugpu.JobsOf("PVC", "DXTC")
+// TestNewSimulationValidatesConfig: a broken architecture and a negative
+// watchdog window surface through the library entry point as a
+// *config.FieldError naming the offending field.
+func TestNewSimulationValidatesConfig(t *testing.T) {
+	mix, err := ugpu.MixOf("PVC", "DXTC")
 	if err != nil {
-		t.Fatalf("JobsOf on valid abbrs: %v", err)
+		t.Fatal(err)
 	}
-	if len(jobs) != 2 {
-		t.Fatalf("JobsOf returned %d jobs, want 2", len(jobs))
-	}
-}
-
-func TestNewClusterRejectsBadShapes(t *testing.T) {
-	cfg := ugpu.DefaultConfig()
-	cases := []struct {
-		name      string
-		gpus, per int
+	for _, tc := range []struct {
+		field string
+		mut   func(*ugpu.Config)
 	}{
-		{"zero GPUs", 0, 2},
-		{"negative GPUs", -1, 2},
-		{"zero tenants", 4, 0},
-		{"tenants exceed channel groups", 1, cfg.ChannelGroups() + 1},
-	}
-	for _, c := range cases {
-		if _, err := ugpu.NewCluster(cfg, c.gpus, c.per); err == nil {
-			t.Errorf("%s: NewCluster(%d, %d) accepted invalid shape", c.name, c.gpus, c.per)
+		{"NumSMs", func(c *ugpu.Config) { c.NumSMs = -1 }},
+		{"WatchdogCycles", func(c *ugpu.Config) { c.WatchdogCycles = -5 }},
+	} {
+		cfg := ugpu.DefaultConfig()
+		tc.mut(&cfg)
+		_, err := ugpu.NewSimulation(cfg, ugpu.NewBP(), mix)
+		var fe *config.FieldError
+		if !errors.As(err, &fe) || fe.Field != tc.field {
+			t.Errorf("NewSimulation with a bad %s = %v, want a FieldError on %s", tc.field, err, tc.field)
 		}
-	}
-	if _, err := ugpu.NewCluster(cfg, 4, 2); err != nil {
-		t.Errorf("NewCluster rejected a valid shape: %v", err)
-	}
-}
-
-func TestNewClusterValidatesConfig(t *testing.T) {
-	cfg := ugpu.DefaultConfig()
-	cfg.NumSMs = -1
-	_, err := ugpu.NewCluster(cfg, 2, 2)
-	var fe *config.FieldError
-	if !errors.As(err, &fe) {
-		t.Fatalf("NewCluster on broken config = %v, want *config.FieldError", err)
-	}
-	if fe.Field != "NumSMs" {
-		t.Errorf("FieldError names %q, want NumSMs", fe.Field)
-	}
-
-	cfg = ugpu.DefaultConfig()
-	cfg.WatchdogCycles = -5
-	_, err = ugpu.NewCluster(cfg, 2, 2)
-	if !errors.As(err, &fe) || fe.Field != "WatchdogCycles" {
-		t.Errorf("negative watchdog window detected as %v, want FieldError on WatchdogCycles", err)
 	}
 }

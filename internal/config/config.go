@@ -248,7 +248,7 @@ func fieldErr(field string, value any, reason string) *FieldError {
 // Validate checks structural consistency. It returns a *FieldError naming
 // the first violated constraint, or nil. The zero Config is invalid; so are
 // zero or negative epoch lengths, run lengths, and channel-group counts —
-// rejecting those here (and in ugpu.New/cluster.New, which call Validate)
+// rejecting those here (gpu.New and core.NewRunner call Validate)
 // prevents silently accepting configurations that would divide by zero or
 // never reach an epoch boundary deep inside the simulator.
 func (c Config) Validate() error {

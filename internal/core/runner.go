@@ -136,7 +136,12 @@ type epochRec struct {
 }
 
 // NewRunner builds the GPU for the mix under the policy's initial partition.
+// A malformed cfg is rejected as a *config.FieldError before the policy
+// sees it.
 func NewRunner(cfg config.Config, pol Policy, mix workload.Mix) (*Runner, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	n := len(mix.Apps)
 	targets, err := pol.Initial(n, cfg)
 	if err != nil {

@@ -110,7 +110,7 @@ type Config struct {
 
 // Validate checks the serving capacity knobs before any GPU is built,
 // returning a *config.FieldError naming the first violated constraint (the
-// same typed error cluster.New surfaces for simulator geometry), or nil.
+// same typed error core.NewRunner surfaces for simulator geometry), or nil.
 // Zero values mean "use the default" and pass; negative capacities and
 // rates never do — rejecting them here fails fast instead of
 // wedging the admission loop with a queue that can never hold a job.

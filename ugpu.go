@@ -54,6 +54,12 @@ type Benchmark = workload.Benchmark
 // Mix is a multi-program workload.
 type Mix = workload.Mix
 
+// Benchmark classes (Table 2's memory-/compute-bound split).
+const (
+	MemoryBound  = workload.MemoryBound
+	ComputeBound = workload.ComputeBound
+)
+
 // Benchmarks returns the 15 GPU-compute benchmarks of Table 2.
 func Benchmarks() []Benchmark { return workload.Table2() }
 
