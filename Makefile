@@ -62,7 +62,7 @@ cover:
 SMOKE_FLAGS = \
 	"-fig faults -cycles 60000 -epoch 15000 -mixes 2 -faults sm=2,group=1,mig=0.05 -fault-seed 7" \
 	"-fig serve -cycles 40000 -epoch 10000 -serve-seed 9" \
-	"-fig failover -cycles 40000 -epoch 10000 -serve-seed 9 -gpu-faults 1" \
+	"-fig failover -cycles 40000 -epoch 10000 -serve-seed 9" \
 	"-fig gray -cycles 30000 -serve-seed 9 -arrival-rate 25 -digest-every 4" \
 	"-fig power -cycles 40000 -epoch 10000 -serve-seed 9" \
 	"-fig 10 -cycles 30000 -epoch 10000 -mixes 2" \

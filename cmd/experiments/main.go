@@ -5,10 +5,8 @@
 //
 //	experiments [-fig all|table2|2|3|4|10|11|12a|12b|13|14|15|16|micro|pagesize|faults|serve|failover|power|gray]
 //	            [-cycles N] [-epoch N] [-mixes N] [-scale N] [-parallel N]
-//	            [-faults spec] [-fault-seed N] [-watchdog-timeout N]
-//	            [-arrival-rate R] [-qos-mix F] [-serve-seed N]
-//	            [-gray-faults spec] [-probe-epochs N]
-//	            [-power-cap W] [-dvfs=false] [-no-fastforward]
+//	            [-faults spec] [-fault-seed N]
+//	            [-arrival-rate R] [-serve-seed N] [-no-fastforward]
 //	            [-digest] [-digest-every N] [-bisect A,B]
 //	            [-trace] [-trace-out path] [-trace-filter spec] [-pprof prefix]
 //	            [-v]
@@ -57,18 +55,8 @@ import (
 	"time"
 
 	"ugpu/internal/experiments"
-	"ugpu/internal/fault"
 	"ugpu/internal/trace"
 )
-
-// checkGraySpec validates the -gray-faults flag value before any figure
-// runs; a malformed spec is a usage error (exit 2), not a runtime failure.
-func checkGraySpec(spec string) error {
-	if _, err := fault.ParseGraySpec(spec); err != nil {
-		return fmt.Errorf("-gray-faults: %w", err)
-	}
-	return nil
-}
 
 // gen is one runnable figure generator.
 type gen struct {
@@ -149,17 +137,8 @@ func main() {
 		parallelN   = flag.Int("parallel", 0, "sweep fan-out workers (0 = GOMAXPROCS, 1 = serial)")
 		faults      = flag.String("faults", "", "custom fault spec for the faults figure (e.g. \"sm=2,group=1,mig=0.05\")")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for the deterministic fault injector")
-		watchdog    = flag.Int("watchdog-timeout", 0, "watchdog window in cycles (-1 disables; 0 keeps the config default)")
 		arrRate     = flag.Float64("arrival-rate", 0, "serve/gray figures: single arrival rate in jobs per 100K cycles (0 = figure default)")
-		powerCap    = flag.Float64("power-cap", 0, "power figure: cluster power budget in watts (0 = derive 85%/70% cap points from the baseline arm)")
-		dvfs        = flag.Bool("dvfs", true, "power figure: include the DVFS-governed and capped arms (false = nominal baseline only)")
-		qosMix      = flag.Float64("qos-mix", 0, "serve figure: latency-critical arrival fraction (0 = the 0.5 default)")
-		serveSeed   = flag.Int64("serve-seed", 0, "serve figure: arrival-schedule seed (0 = seed 1)")
-		gpuFaults   = flag.Int("gpu-faults", 0, "failover figure: whole-GPU crashes to inject (0 = the default 1)")
-		grayFaults  = flag.String("gray-faults", "", "gray figure: degradation spec (e.g. \"gpus=1,sm=3,noc=0.005,window=0.25\"; empty = default)")
-		probeEpochs = flag.Int("probe-epochs", 0, "gray figure: clean probe epochs before a quarantined GPU re-admits LC work (0 = the default 4)")
-		ckptEvery   = flag.Int("checkpoint-every", 0, "failover figure: checkpoint interval in cycles (0 = 2 epochs)")
-		brownout    = flag.Bool("brownout", true, "failover figure: include the tiered-brownout arm")
+		serveSeed   = flag.Int64("serve-seed", 0, "serve, failover, power and gray figures: arrival-schedule seed (0 = seed 1)")
 		traceOn     = flag.Bool("trace", false, "record deterministic event traces for every simulation of every figure")
 		traceOut    = flag.String("trace-out", "", "trace output path (implies -trace; default trace.jsonl; .json converts to Chrome trace_event)")
 		traceFilter = flag.String("trace-filter", "", "trace category/severity filter, e.g. \"migration,fault,sev=warn\" (empty = everything)")
@@ -171,12 +150,6 @@ func main() {
 		verbose     = flag.Bool("v", false, "log per-run progress")
 	)
 	flag.Parse()
-
-	if err := checkGraySpec(*grayFaults); err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	opt := experiments.Default()
 	if *cycles > 0 {
@@ -198,22 +171,8 @@ func main() {
 	opt.FaultSpec = *faults
 	opt.FaultSeed = *faultSeed
 	opt.ArrivalRate = *arrRate
-	opt.PowerCap = *powerCap
-	opt.DVFS = *dvfs
-	opt.QoSMix = *qosMix
 	opt.ServeSeed = *serveSeed
-	opt.GPUFaults = *gpuFaults
-	opt.CheckpointEvery = *ckptEvery
-	opt.Brownout = *brownout
-	opt.GrayFaults = *grayFaults
-	opt.ProbeEpochs = *probeEpochs
 	opt.NoFastForward = *noFastFwd
-	switch {
-	case *watchdog > 0:
-		opt.Cfg.WatchdogCycles = *watchdog
-	case *watchdog < 0:
-		opt.Cfg.WatchdogCycles = 0
-	}
 	if *digestEvery > 0 {
 		opt.Cfg.DigestEvery = *digestEvery
 	} else if *digestOn {

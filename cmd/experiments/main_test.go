@@ -77,27 +77,3 @@ func TestSelectGens(t *testing.T) {
 		}
 	}
 }
-
-// TestCheckGraySpec pins the -gray-faults usage-error path: a malformed
-// spec is rejected before any figure runs (main prints the grammar and
-// exits 2), while the empty default and a well-formed spec pass.
-func TestCheckGraySpec(t *testing.T) {
-	for _, ok := range []string{"", "none", "gpus=1", "gpus=2,sm=3,hbm=1,noc=0.005,window=0.25"} {
-		if err := checkGraySpec(ok); err != nil {
-			t.Errorf("checkGraySpec(%q) = %v, want nil", ok, err)
-		}
-	}
-	for _, bad := range []string{"noc=2", "gpus=-1", "window=0", "bogus=1", "gpus"} {
-		err := checkGraySpec(bad)
-		if err == nil {
-			t.Errorf("checkGraySpec(%q) = nil, want error", bad)
-			continue
-		}
-		if !strings.Contains(err.Error(), "-gray-faults") {
-			t.Errorf("checkGraySpec(%q) error %q does not name the flag", bad, err)
-		}
-		if !strings.Contains(err.Error(), "grammar:") {
-			t.Errorf("checkGraySpec(%q) error %q does not cite the grammar", bad, err)
-		}
-	}
-}

@@ -43,37 +43,11 @@ type Options struct {
 	// FaultSeed seeds the fault injector (0 = the config seed).
 	FaultSeed int64
 
-	// ServeSeed seeds the serve sweep's arrival schedules (0 = seed 1).
+	// ServeSeed seeds the serving sweeps' arrival schedules (0 = seed 1).
 	ServeSeed int64
-
-	// GPUFaults is the number of whole-GPU crashes the failover figure
-	// injects (0 = the default 1; clamped to GPUs-1 so a survivor remains).
-	GPUFaults int
-	// CheckpointEvery is the failover figure's checkpoint interval in
-	// cycles (0 = 2 epochs).
-	CheckpointEvery int
-	// Brownout enables the failover figure's brownout arm (the tiered
-	// overload controller); cmd/experiments defaults it on.
-	Brownout bool
-	// GrayFaults, when non-empty, replaces the gray figure's default
-	// degradation spec (fault.ParseGraySpec format, e.g.
-	// "gpus=1,sm=3,noc=0.005,window=0.25").
-	GrayFaults string
-	// ProbeEpochs is the consecutive clean probe epochs a quarantined GPU
-	// must score before re-admitting LC work (0 = the health default 4).
-	ProbeEpochs int
 	// ArrivalRate, when > 0, replaces the serve sweep's default rising
 	// rates with a single rate (jobs per 100K cycles).
 	ArrivalRate float64
-	// PowerCap, when > 0, replaces the power figure's derived cap points
-	// with a single cluster budget in watts.
-	PowerCap float64
-	// DVFS includes the power figure's governed arms (cmd/experiments
-	// defaults it on; off leaves only the nominal baseline).
-	DVFS bool
-	// QoSMix is the serve sweep's latency-critical arrival fraction
-	// (0 = the 0.5 default).
-	QoSMix float64
 
 	// Trace attaches a deterministic event tracer to every simulation of
 	// every figure — the paper's tables and figures and the non-paper

@@ -79,10 +79,10 @@ func TestFigureFormat(t *testing.T) {
 	}
 }
 
-// TestSweepOptions covers the sweeps' option handling: malformed fault and
-// gray specs are rejected before anything runs, a custom fault spec becomes
-// one arm beside the healthy baseline, and a custom arrival rate and QoS
-// mix reach the serve figure.
+// TestSweepOptions covers the sweeps' option handling: malformed fault
+// specs are rejected before anything runs, a custom fault spec becomes one
+// arm beside the healthy baseline, and a custom arrival rate reaches the
+// serve figure.
 func TestSweepOptions(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -94,8 +94,6 @@ func TestSweepOptions(t *testing.T) {
 		{name: "faults/bad-spec", set: func(o *Options) { o.FaultSpec = "sm=banana" }, gen: Options.FaultSweep},
 		{name: "serve/bad-fault-spec", set: func(o *Options) { o.FaultSpec = "sm=banana" }, gen: Options.ServeSweep},
 		{name: "failover/bad-fault-spec", set: func(o *Options) { o.FaultSpec = "noc=2" }, gen: Options.FailoverSweep},
-		{name: "gray/bad-range", set: func(o *Options) { o.GrayFaults = "noc=1.5" }, gen: Options.GraySweep},
-		{name: "gray/unknown-key", set: func(o *Options) { o.GrayFaults = "bogus=1" }, gen: Options.GraySweep},
 		{name: "faults/custom-arm", gen: Options.FaultSweep,
 			set: func(o *Options) {
 				o.FaultSpec = "sm=1"
@@ -107,15 +105,13 @@ func TestSweepOptions(t *testing.T) {
 				}
 			}},
 		{name: "serve/custom-rate", gen: Options.ServeSweep, long: true,
-			set: func(o *Options) {
-				o.ArrivalRate, o.QoSMix = 10, 0.7
-			},
+			set: func(o *Options) { o.ArrivalRate = 10 },
 			check: func(t *testing.T, f Figure) {
 				if len(f.Series) == 0 || !reflect.DeepEqual(f.Series[0].Labels, []string{"r=10"}) {
 					t.Fatalf("custom rate produced series %+v, want labels [r=10]", f.Series)
 				}
-				if !strings.Contains(strings.Join(f.Notes, "\n"), "LC fraction 0.70") {
-					t.Errorf("custom QoS mix not recorded in notes: %v", f.Notes)
+				if !strings.Contains(strings.Join(f.Notes, "\n"), "LC fraction 0.50") {
+					t.Errorf("LC fraction not recorded in notes: %v", f.Notes)
 				}
 			}},
 	} {

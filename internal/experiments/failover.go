@@ -21,26 +21,16 @@ import (
 // failoverGPUs is the figure's cluster size.
 const failoverGPUs = 4
 
-// failoverArm labels one configuration of the sweep.
-type failoverArm struct {
+// failoverArms are the sweep's configurations: the crash arms each lose
+// one GPU.
+var failoverArms = []struct {
 	name     string
 	crashes  int
 	brownout bool
-}
-
-func (o Options) failoverArms() []failoverArm {
-	crashes := o.GPUFaults
-	if crashes <= 0 {
-		crashes = 1
-	}
-	arms := []failoverArm{
-		{name: "baseline", crashes: 0},
-		{name: "crash", crashes: crashes},
-	}
-	if o.Brownout {
-		arms = append(arms, failoverArm{name: "crash+brownout", crashes: crashes, brownout: true})
-	}
-	return arms
+}{
+	{name: "baseline", crashes: 0},
+	{name: "crash", crashes: 1},
+	{name: "crash+brownout", crashes: 1, brownout: true},
 }
 
 // FailoverSweep regenerates the cluster failover comparison. Arms run
@@ -71,7 +61,7 @@ func (o Options) FailoverSweep() (Figure, error) {
 	sv.arrivals.MeanGap = max(cfg.MaxCycles/160, 1_000)
 
 	var arms []clusterArm
-	for _, a := range o.failoverArms() {
+	for _, a := range failoverArms {
 		arms = append(arms, clusterArm{name: a.name, cfg: clusterserve.Config{
 			GPUs:     failoverGPUs,
 			Sim:      cfg,
@@ -82,13 +72,12 @@ func (o Options) FailoverSweep() (Figure, error) {
 			// cannot be re-balanced, so cluster-level queueing lives at the
 			// frontend — which is also where the brownout controller
 			// measures delay.
-			QueueCap:        2,
-			Crashes:         a.crashes,
-			CrashSeed:       sv.seed,
-			CheckpointEvery: o.CheckpointEvery,
-			Brownout:        a.brownout,
-			Parallel:        o.Parallel,
-			Alone:           alone,
+			QueueCap:  2,
+			Crashes:   a.crashes,
+			CrashSeed: sv.seed,
+			Brownout:  a.brownout,
+			Parallel:  o.Parallel,
+			Alone:     alone,
 		}})
 	}
 	reps, links, err := o.runClusterArms(0, arms, func(i int, rep *clusterserve.Report) string {

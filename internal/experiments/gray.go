@@ -65,12 +65,6 @@ func (o Options) GraySweep() (Figure, error) {
 	// loaded victim's jobs inside the 6x LC slowdown target and every
 	// response arm ties — there has to be a failure worth mitigating.
 	graySpec := fault.GraySpec{GPUs: 1, SMStep: 3, HBMStep: 2, NoCDrop: 0.01, Window: 0.35}
-	if o.GrayFaults != "" {
-		graySpec, err = fault.ParseGraySpec(o.GrayFaults)
-		if err != nil {
-			return Figure{}, err
-		}
-	}
 	// A doubled horizon so the post-window recovery — probing and LC
 	// re-admission — is observable.
 	cfg := sv.cfg
@@ -109,12 +103,11 @@ func (o Options) GraySweep() (Figure, error) {
 			// precisely how gray failures hide from backpressure — and what
 			// the health scorer is for. (With shallow queues the victim
 			// backpressures itself and every response arm ties.)
-			QueueCap:        6,
-			CheckpointEvery: o.CheckpointEvery,
-			GraySeed:        sv.seed,
-			GrayAsCrash:     a.asCrash,
-			Parallel:        o.Parallel,
-			Alone:           alone,
+			QueueCap:    6,
+			GraySeed:    sv.seed,
+			GrayAsCrash: a.asCrash,
+			Parallel:    o.Parallel,
+			Alone:       alone,
 		}
 		if a.gray {
 			ccfg.Gray = graySpec
@@ -126,7 +119,6 @@ func (o Options) GraySweep() (Figure, error) {
 			// convicted fast — its NoC drop rate trips the NACK-burst
 			// detector, which healthy GPUs (no injector) can never do.
 			ccfg.Health = &clusterserve.HealthConfig{
-				ProbeEpochs:  o.ProbeEpochs,
 				EnterRatio:   0.4,
 				SuspectAfter: 3,
 				GrowStreak:   5,

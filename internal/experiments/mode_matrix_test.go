@@ -202,8 +202,6 @@ func serveRow(faults string) Options {
 func clusterRow(cycles int) Options {
 	o := scale(cycles, 1)
 	o.ServeSeed = 9
-	o.Brownout = true
-	o.DVFS = true
 	return o
 }
 

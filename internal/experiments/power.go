@@ -26,29 +26,16 @@ import (
 // exercise the cluster budget arbitration without failover-scale runtimes.
 const powerGPUs = 2
 
-// powerArm labels one regime of the sweep.
-type powerArm struct {
+// powerArms are the sweep's regimes.
+var powerArms = []struct {
 	name    string
 	dvfs    bool
 	capFrac float64 // cluster cap as a fraction of baseline mean power
-	capW    float64 // absolute cluster cap override (-power-cap)
-}
-
-func (o Options) powerArms() []powerArm {
-	arms := []powerArm{{name: "baseline"}}
-	if !o.DVFS {
-		return arms
-	}
-	arms = append(arms, powerArm{name: "dvfs", dvfs: true})
-	if o.PowerCap > 0 {
-		arms = append(arms, powerArm{name: "cap", dvfs: true, capW: o.PowerCap})
-		return arms
-	}
-	arms = append(arms,
-		powerArm{name: "cap-85", dvfs: true, capFrac: 0.85},
-		powerArm{name: "cap-70", dvfs: true, capFrac: 0.70},
-	)
-	return arms
+}{
+	{name: "baseline"},
+	{name: "dvfs", dvfs: true},
+	{name: "cap-85", dvfs: true, capFrac: 0.85},
+	{name: "cap-70", dvfs: true, capFrac: 0.70},
 }
 
 // nominalOnlyPower is the baseline arm's power config: one operating point
@@ -83,7 +70,7 @@ func (o Options) PowerSweep() (Figure, error) {
 	sv.arrivals.MeanGap = max(cfg.MaxCycles/32, 1_000)
 	sv.arrivals.Horizon = cfg.MaxCycles * 3 / 4
 
-	arms := o.powerArms()
+	arms := powerArms
 	caps := make([]float64, len(arms))
 	armAt := func(i int) clusterArm {
 		opt := o.gpuOptions(gpu.DefaultOptions(), fault.Spec{})
@@ -116,10 +103,7 @@ func (o Options) PowerSweep() (Figure, error) {
 	}
 	var rest []clusterArm
 	for i := 1; i < len(arms); i++ {
-		caps[i] = arms[i].capW
-		if arms[i].capFrac > 0 {
-			caps[i] = arms[i].capFrac * reps[0].MeanPower
-		}
+		caps[i] = arms[i].capFrac * reps[0].MeanPower
 		rest = append(rest, armAt(i))
 	}
 	restReps, restLinks, err := o.runClusterArms(1, rest, line)
@@ -149,10 +133,6 @@ func (o Options) PowerSweep() (Figure, error) {
 		return float64(r.Served) / float64(r.Cycles)
 	}
 	energy := func(r report) float64 { return r.Energy.Total }
-	capNote := "baseline runs a single nominal operating point (governor no-op); cap arms budget 85%/70% of baseline measured power"
-	if o.PowerCap > 0 {
-		capNote = fmt.Sprintf("baseline runs a single nominal operating point (governor no-op); cap arm budgets %.0f W (-power-cap)", o.PowerCap)
-	}
 	fig := Figure{
 		ID:    "power",
 		Title: "Power management: energy/throughput Pareto under DVFS and power capping",
@@ -169,7 +149,7 @@ func (o Options) PowerSweep() (Figure, error) {
 		},
 		Notes: []string{
 			fmt.Sprintf("%d GPUs; all arms share one LC/BE arrival schedule (seed %d); energy metered identically in every arm", powerGPUs, sv.seed),
-			capNote,
+			"baseline runs a single nominal operating point (governor no-op); cap arms budget 85%/70% of baseline measured power",
 			"the governor downclocks memory-bound slices' SMs and compute-bound slices' channels; LC slices keep nominal frequency",
 			"the cluster arbiter splits the cap across alive GPUs and re-grants measured headroom; per-GPU caps emit KPower events",
 		},

@@ -125,7 +125,7 @@ func (o Options) ServeSweep() (Figure, error) {
 	spec := metrics.DefaultSLO()
 	fig.Notes = append(fig.Notes,
 		fmt.Sprintf("rates in jobs per 100K cycles; LC fraction %.2f; SLO: LC slowdown <= %g, BE <= %g",
-			sv.qos, spec.LCSlowdown, spec.BESlowdown),
+			serveLCFraction, spec.LCSlowdown, spec.BESlowdown),
 		fmt.Sprintf("arrival seed %d; identical seeds give byte-identical reports at any -parallel", sv.seed),
 		"goodput = SLO-met completed alone-cycles per horizon cycle",
 		"at moderate load in-order's FIFO maximises raw completions; under overload its head-of-line blocking misses every LC target and class-aware wins on both goodput and tail")

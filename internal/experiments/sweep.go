@@ -188,11 +188,14 @@ func (o Options) digestNote(links []uint64, scope string) []string {
 		uint64(d), scope, o.Cfg.DigestEvery)}
 }
 
+// serveLCFraction is the serving streams' latency-critical arrival
+// fraction.
+const serveLCFraction = 0.5
+
 // serving is the setup the serving sweeps share.
 type serving struct {
 	cfg      config.Config        // o.Cfg with the epoch capped at 5K cycles
 	seed     int64                // arrival seed (ServeSeed, default 1)
-	qos      float64              // LC fraction (QoSMix, default 0.5)
 	arrivals workload.ArrivalSpec // callers set Horizon and MeanGap
 }
 
@@ -202,15 +205,12 @@ type serving struct {
 // the epoch is capped at 5K cycles (the closed-world 25K default would
 // quantise queueing delay into multiples of a job's whole runtime).
 func (o Options) servingSetup() (serving, error) {
-	s := serving{cfg: o.Cfg, seed: o.ServeSeed, qos: o.QoSMix}
+	s := serving{cfg: o.Cfg, seed: o.ServeSeed}
 	if s.cfg.EpochCycles > 5_000 {
 		s.cfg.EpochCycles = 5_000
 	}
 	if s.seed == 0 {
 		s.seed = 1
-	}
-	if s.qos == 0 {
-		s.qos = 0.5
 	}
 	// The serving request mix: three compute-bound and three memory-bound
 	// Table 2 benchmarks, so admission policies face both kinds of pressure.
@@ -222,7 +222,7 @@ func (o Options) servingSetup() (serving, error) {
 		}
 		benches = append(benches, b)
 	}
-	s.arrivals = workload.ArrivalSpec{LCFraction: s.qos, MinLen: 4_000, MaxLen: 10_000, Benchmarks: benches}
+	s.arrivals = workload.ArrivalSpec{LCFraction: serveLCFraction, MinLen: 4_000, MaxLen: 10_000, Benchmarks: benches}
 	return s, nil
 }
 

@@ -83,7 +83,7 @@ func (s GraySpec) String() string {
 }
 
 // graySpecGrammar is the accepted ParseGraySpec grammar, quoted by every
-// parse error so a bad -gray-faults value explains how to fix itself.
+// parse error so a bad spec explains how to fix itself.
 const graySpecGrammar = `grammar: "gpus=N,sm=D,hbm=D,noc=P,window=F" — N victim GPUs, D a P-state depth (non-negative integer), P a probability in [0,1), F a horizon fraction in (0,1]; keys optional, "none" or "" for no gray faults`
 
 // ParseGraySpec parses a gray-fault spec of the form
