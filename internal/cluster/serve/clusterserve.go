@@ -59,23 +59,17 @@ type Config struct {
 	Seed     int64
 	// Jobs, when non-nil, replays an explicit schedule instead of Arrivals.
 	Jobs []workload.Job
-	// Policy is each backend's admission discipline.
-	Policy serve.Policy
-	// QueueCap configures each backend (serve.Config).
+	// QueueCap configures each backend (serve.Config); every backend
+	// admits in arrival order.
 	QueueCap int
 
-	// CheckpointEvery is the cycle interval between periodic checkpoints of
-	// every alive backend (default 2 x EpochCycles). Crashed tenants resume
-	// from the last checkpoint; shorter intervals lose less work per crash
-	// at more snapshot cost.
-	CheckpointEvery int
-	// Crashes is the number of whole-GPU crashes to inject (seeded schedule
-	// via fault.PlanGPUCrashes, clamped to GPUs-1 so a survivor remains).
+	// Crashes is the number of whole-GPU crashes to inject (schedule seeded
+	// by Seed via fault.PlanGPUCrashes, clamped to GPUs-1 so a survivor
+	// remains). Every alive backend is checkpointed every two epochs, and
+	// crashed tenants resume from the last checkpoint.
 	Crashes int
-	// CrashSeed seeds the crash schedule (0 means Seed).
-	CrashSeed int64
 	// CrashPlan, when non-nil, replays an explicit crash schedule instead
-	// of Crashes/CrashSeed (tests; may kill every GPU).
+	// of Crashes (tests; may kill every GPU).
 	CrashPlan []fault.Crash
 	// Brownout enables the tiered overload controller: tier 1 sheds new
 	// best-effort arrivals, tier 2 additionally relaxes the LC target by
@@ -87,10 +81,9 @@ type Config struct {
 
 	// Gray is the seeded gray-degradation spec (fault.ParseGraySpec): GPUs
 	// that keep answering but run slow for a bounded window. The zero spec
-	// injects nothing. GraySeed seeds the window planner (0 means Seed);
-	// GrayPlan, when non-nil, replays an explicit schedule instead (tests).
+	// injects nothing. Seed also seeds the window planner; GrayPlan, when
+	// non-nil, replays an explicit schedule instead (tests).
 	Gray     fault.GraySpec
-	GraySeed int64
 	GrayPlan []fault.GrayFault
 	// Health, when non-nil, enables the gray-failure health scorer and
 	// quarantine state machine (health.go). Without it the frontend is
@@ -134,10 +127,6 @@ func (c Config) Validate() error {
 	if c.Crashes < 0 {
 		return &config.FieldError{Field: "clusterserve.Crashes", Value: c.Crashes,
 			Reason: "must be >= 0"}
-	}
-	if c.CheckpointEvery < 0 {
-		return &config.FieldError{Field: "clusterserve.CheckpointEvery", Value: c.CheckpointEvery,
-			Reason: "must be >= 0 (0 means the default of 2 epochs)"}
 	}
 	if c.PowerCap < 0 {
 		return &config.FieldError{Field: "clusterserve.PowerCap", Value: int(c.PowerCap),
@@ -193,7 +182,6 @@ func (c Config) backendConfig(tr *trace.Tracer) serve.Config {
 		Arrivals: c.Arrivals,
 		Seed:     c.Seed,
 		Jobs:     jobs,
-		Policy:   c.Policy,
 		QueueCap: c.QueueCap,
 		Alone:    c.Alone,
 		PowerCap: c.PowerCap / float64(c.effectiveGPUs()),
@@ -206,15 +194,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 16
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 2 * c.Sim.EpochCycles
-	}
-	if c.CrashSeed == 0 {
-		c.CrashSeed = c.Seed
-	}
-	if c.GraySeed == 0 {
-		c.GraySeed = c.Seed
 	}
 	if c.Alone == nil {
 		c.Alone = metrics.NewAloneIPC(c.Sim, c.Opt)
@@ -292,6 +271,10 @@ type Frontend struct {
 	beQ     []*track
 
 	lastCkpt int
+	// ckptEvery is the cycle interval between periodic checkpoints: two
+	// epochs, raised only by tests. Shorter intervals lose less work per
+	// crash at more snapshot cost.
+	ckptEvery int
 
 	tier      int
 	belowFor  int
@@ -347,7 +330,7 @@ func New(cfg Config) (*Frontend, error) {
 			return nil, err
 		}
 	}
-	f := &Frontend{cfg: cfg, nAlive: cfg.GPUs, retryCap: retryBudget}
+	f := &Frontend{cfg: cfg, nAlive: cfg.GPUs, retryCap: retryBudget, ckptEvery: 2 * cfg.Sim.EpochCycles}
 	f.backends = make([]*serve.Server, cfg.GPUs)
 	f.alive = make([]bool, cfg.GPUs)
 	for i := range f.backends {
@@ -381,12 +364,12 @@ func New(cfg Config) (*Frontend, error) {
 	}
 	f.crashPlan = cfg.CrashPlan
 	if f.crashPlan == nil && cfg.Crashes > 0 {
-		f.crashPlan = fault.PlanGPUCrashes(cfg.CrashSeed, cfg.GPUs, cfg.Crashes,
+		f.crashPlan = fault.PlanGPUCrashes(cfg.Seed, cfg.GPUs, cfg.Crashes,
 			uint64(cfg.Sim.MaxCycles))
 	}
 	f.grayPlan = cfg.GrayPlan
 	if f.grayPlan == nil && !cfg.Gray.Empty() {
-		f.grayPlan = fault.PlanGrayFaults(cfg.GraySeed, cfg.GPUs, cfg.Gray,
+		f.grayPlan = fault.PlanGrayFaults(cfg.Seed, cfg.GPUs, cfg.Gray,
 			uint64(cfg.Sim.MaxCycles))
 	}
 	f.grayCur = make([]int, cfg.GPUs)
@@ -593,7 +576,7 @@ func (f *Frontend) drainCompletions(cycle int) {
 // snapshot is pure in-memory state; "persistence" is the frontend keeping
 // it in the tracks.
 func (f *Frontend) maybeCheckpoint(cycle int) {
-	if cycle-f.lastCkpt < f.cfg.CheckpointEvery {
+	if cycle-f.lastCkpt < f.ckptEvery {
 		return
 	}
 	f.lastCkpt = cycle

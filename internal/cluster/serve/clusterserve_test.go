@@ -93,7 +93,6 @@ func TestClusterConfigValidate(t *testing.T) {
 	}{
 		{"negative GPUs", func(c *Config) { c.GPUs = -1 }, "clusterserve.GPUs"},
 		{"negative Crashes", func(c *Config) { c.Crashes = -2 }, "clusterserve.Crashes"},
-		{"negative CheckpointEvery", func(c *Config) { c.CheckpointEvery = -5 }, "clusterserve.CheckpointEvery"},
 		{"negative PowerCap", func(c *Config) { c.PowerCap = -1 }, "clusterserve.PowerCap"},
 		{"backend knob surfaces", func(c *Config) { c.QueueCap = -1 }, "serve.QueueCap"},
 	}

@@ -38,7 +38,7 @@ const (
 	// stay. Leaves only through probing.
 	HealthQuarantined
 	// HealthProbing: a quarantined GPU looking clean; still closed to LC
-	// until it scores clean for HealthConfig.ProbeEpochs straight epochs.
+	// until it scores clean for probeEpochs straight epochs.
 	HealthProbing
 )
 
@@ -71,9 +71,6 @@ type HealthConfig struct {
 	// into quarantined. A suspect also needs SuspectAfter consecutive good
 	// epochs to be cleared back to healthy.
 	SuspectAfter int
-	// ProbeEpochs is the consecutive clean probe epochs a quarantined GPU
-	// must score before LC work is re-admitted (default 4).
-	ProbeEpochs int
 	// GrowStreak is the consecutive epochs of queue growth (at or above a
 	// full per-GPU queue share) that corroborate a sub-exitRatio progress
 	// score into a bad epoch (default 3). Raise it on clusters that run
@@ -89,6 +86,9 @@ const (
 	// quarantineAfter is the bad epochs past SuspectAfter that turn a
 	// suspect into quarantined.
 	quarantineAfter = 2
+	// probeEpochs is the consecutive clean probe epochs a quarantined GPU
+	// must score before LC work is re-admitted.
+	probeEpochs = 4
 	// nackBurst: a per-epoch fault-event delta (NoC drops + migration
 	// NACKs) at or above this is a bad epoch regardless of progress — a
 	// flaky-link victim can hide a progress dip behind retries, but not
@@ -107,9 +107,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	}
 	if c.SuspectAfter == 0 {
 		c.SuspectAfter = 2
-	}
-	if c.ProbeEpochs == 0 {
-		c.ProbeEpochs = 4
 	}
 	if c.GrowStreak == 0 {
 		c.GrowStreak = 3
@@ -306,7 +303,7 @@ func (f *Frontend) updateHealth(cycle int) error {
 				bh.quarEpochs, bh.goodStreak = 0, 0
 			case vGood:
 				bh.goodStreak++
-				if bh.goodStreak >= hc.ProbeEpochs {
+				if bh.goodStreak >= probeEpochs {
 					f.setHealth(cycle, i, HealthHealthy)
 					bh.quarCycles += uint64(cycle - bh.quarStart)
 					bh.quarStart = -1

@@ -69,6 +69,12 @@ func grayConfig(t *testing.T) Config {
 
 // runGray builds and runs one gray-configured cluster with tracing on.
 func runGray(t *testing.T, mut func(*Config)) (*Frontend, *Report, []byte) {
+	return runGrayTuned(t, mut, nil)
+}
+
+// runGrayTuned is runGray with tune, when non-nil, adjusting the built
+// frontend's unexported knobs before the run.
+func runGrayTuned(t *testing.T, mut func(*Config), tune func(*Frontend)) (*Frontend, *Report, []byte) {
 	t.Helper()
 	cfg := grayConfig(t)
 	cfg.Trace = trace.New(trace.DefaultCapacity)
@@ -82,6 +88,9 @@ func runGray(t *testing.T, mut func(*Config)) (*Frontend, *Report, []byte) {
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tune != nil {
+		tune(f)
 	}
 	rep, err := f.Run()
 	if err != nil {
@@ -100,7 +109,7 @@ func TestClusterGrayQuarantineLifecycle(t *testing.T) {
 	// Checkpoints far apart: the drain's saved-work accounting counts
 	// progress past the last checkpoint, which a just-checkpointed tenant
 	// has none of.
-	f, rep, tr := runGray(t, func(c *Config) { c.CheckpointEvery = 1 << 30 })
+	f, rep, tr := runGrayTuned(t, nil, func(f *Frontend) { f.ckptEvery = 1 << 30 })
 
 	if rep.SLO.GrayFaults != 1 {
 		t.Fatalf("GrayFaults = %d, want 1", rep.SLO.GrayFaults)

@@ -72,12 +72,11 @@ func (o Options) FailoverSweep() (Figure, error) {
 			// cannot be re-balanced, so cluster-level queueing lives at the
 			// frontend — which is also where the brownout controller
 			// measures delay.
-			QueueCap:  2,
-			Crashes:   a.crashes,
-			CrashSeed: sv.seed,
-			Brownout:  a.brownout,
-			Parallel:  o.Parallel,
-			Alone:     alone,
+			QueueCap: 2,
+			Crashes:  a.crashes,
+			Brownout: a.brownout,
+			Parallel: o.Parallel,
+			Alone:    alone,
 		}})
 	}
 	reps, links, err := o.runClusterArms(0, arms, func(i int, rep *clusterserve.Report) string {

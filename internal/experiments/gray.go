@@ -104,7 +104,6 @@ func (o Options) GraySweep() (Figure, error) {
 			// the health scorer is for. (With shallow queues the victim
 			// backpressures itself and every response arm ties.)
 			QueueCap:    6,
-			GraySeed:    sv.seed,
 			GrayAsCrash: a.asCrash,
 			Parallel:    o.Parallel,
 			Alone:       alone,
