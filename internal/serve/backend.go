@@ -57,10 +57,6 @@ type TenantSnapshot struct {
 	Resident bool
 }
 
-// Backend reports whether the server runs in backend mode (an explicit
-// empty job schedule; arrivals come only through Offer).
-func (s *Server) Backend() bool { return s.cfg.Jobs != nil && len(s.cfg.Jobs) == 0 }
-
 // Offer hands a job (fresh or resumed) to this backend. front inserts ahead
 // of ordinary arrivals — the class-appropriate position for crash-recovered
 // work, which must not queue behind arrivals it already beat once — but

@@ -70,9 +70,6 @@ func TestBackendOfferStepComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Backend() {
-		t.Fatal("empty explicit schedule did not select backend mode")
-	}
 	dxtc := mustBench(t, "DXTC")
 	fresh := Resume{
 		Job:   workload.Job{ID: 0, Bench: dxtc, Class: workload.LatencyCritical, Arrival: 0, AloneCycles: 20_000},

@@ -3,9 +3,7 @@ package workload
 // This file models the open-world request stream of the online serving layer
 // (ISSUE 3): tenants arrive over time, run for a bounded amount of work, and
 // depart. It follows the package seeding contract — no global RNG; arrival
-// schedules are a pure function of (spec, seed), and the *Rand variant
-// accepts a caller-owned *rand.Rand for callers threading one RNG through a
-// larger deterministic pipeline.
+// schedules are a pure function of (spec, seed).
 
 import (
 	"fmt"
@@ -95,15 +93,10 @@ func (s ArrivalSpec) Validate() error {
 // Generate builds the deterministic arrival schedule for the spec: equal
 // seeds produce equal schedules. Jobs are returned sorted by (Arrival, ID).
 func (s ArrivalSpec) Generate(seed int64) ([]Job, error) {
-	return s.GenerateRand(rand.New(rand.NewSource(seed)))
-}
-
-// GenerateRand is Generate with a caller-owned RNG (see the package seeding
-// contract). The caller must not share rng across goroutines.
-func (s ArrivalSpec) GenerateRand(rng *rand.Rand) ([]Job, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	rng := rand.New(rand.NewSource(seed))
 	pool := s.Benchmarks
 	if len(pool) == 0 {
 		pool = Table2()

@@ -19,9 +19,7 @@
 //   - Mix generation is either fully deterministic (HeterogeneousPairs,
 //     HomogeneousPairs, AIMixes enumerate in sorted order) or seeded
 //     explicitly: FourProgramMixes/EightProgramMixes take a seed int64 and
-//     build a private rand.Rand from it; the *Rand variants accept a
-//     caller-owned *rand.Rand for callers that thread one RNG through a
-//     larger deterministic pipeline. Equal seeds produce equal mixes.
+//     build a private rand.Rand from it. Equal seeds produce equal mixes.
 //   - Address streams never consult math/rand at all: each WarpStream owns
 //     an xorshift64 state derived from the seed passed to NewWarpStream /
 //     InitWarpStream. The sm package derives that seed deterministically
@@ -298,24 +296,10 @@ func FourProgramMixes(n int, seed int64) []Mix {
 	return kProgramMixes(n, rand.New(rand.NewSource(seed)), 2, 2)
 }
 
-// FourProgramMixesRand is FourProgramMixes with a caller-owned RNG (see the
-// package seeding contract). The caller must not share rng across
-// goroutines.
-func FourProgramMixesRand(n int, rng *rand.Rand) []Mix {
-	return kProgramMixes(n, rng, 2, 2)
-}
-
 // EightProgramMixes builds n mixes of 4 memory-bound + 4 compute-bound
 // benchmarks (Section 6.5's 200 random eight-program workloads).
 func EightProgramMixes(n int, seed int64) []Mix {
 	return kProgramMixes(n, rand.New(rand.NewSource(seed)), 4, 4)
-}
-
-// EightProgramMixesRand is EightProgramMixes with a caller-owned RNG (see
-// the package seeding contract). The caller must not share rng across
-// goroutines.
-func EightProgramMixesRand(n int, rng *rand.Rand) []Mix {
-	return kProgramMixes(n, rng, 4, 4)
 }
 
 func kProgramMixes(n int, rng *rand.Rand, nMem, nCmp int) []Mix {

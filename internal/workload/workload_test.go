@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -314,14 +313,6 @@ func TestMixSeedingContract(t *testing.T) {
 	c := EightProgramMixes(6, 43)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("EightProgramMixes identical across different seeds")
-	}
-	// The *Rand variants match the seed variants given an equally-seeded RNG.
-	if d := EightProgramMixesRand(6, rand.New(rand.NewSource(42))); !reflect.DeepEqual(a, d) {
-		t.Fatal("EightProgramMixesRand(NewSource(seed)) differs from EightProgramMixes(seed)")
-	}
-	e := FourProgramMixes(4, 9)
-	if f := FourProgramMixesRand(4, rand.New(rand.NewSource(9))); !reflect.DeepEqual(e, f) {
-		t.Fatal("FourProgramMixesRand(NewSource(seed)) differs from FourProgramMixes(seed)")
 	}
 }
 
