@@ -70,16 +70,15 @@ func (o Options) PowerSweep() (Figure, error) {
 	sv.arrivals.MeanGap = max(cfg.MaxCycles/32, 1_000)
 	sv.arrivals.Horizon = cfg.MaxCycles * 3 / 4
 
-	arms := powerArms
-	caps := make([]float64, len(arms))
+	caps := make([]float64, len(powerArms))
 	armAt := func(i int) clusterArm {
 		opt := o.gpuOptions(gpu.DefaultOptions(), fault.Spec{})
-		if arms[i].dvfs {
+		if powerArms[i].dvfs {
 			opt.Power = &power.Config{}
 		} else {
 			opt.Power = nominalOnlyPower()
 		}
-		return clusterArm{name: arms[i].name, cfg: clusterserve.Config{
+		return clusterArm{name: powerArms[i].name, cfg: clusterserve.Config{
 			GPUs:     powerGPUs,
 			Sim:      cfg,
 			Opt:      opt,
@@ -93,7 +92,7 @@ func (o Options) PowerSweep() (Figure, error) {
 	}
 	line := func(i int, rep *clusterserve.Report) string {
 		return fmt.Sprintf("  power %-10s energy=%.0f meanW=%.1f ipc=%.3f lcGoodput=%.3f p99=%.2f transitions=%d cap=%.0fW\n",
-			arms[i].name, rep.Energy.Total, rep.MeanPower,
+			powerArms[i].name, rep.Energy.Total, rep.MeanPower,
 			float64(rep.Served)/float64(rep.Cycles),
 			rep.SLO.LCGoodput, rep.SLO.P99, rep.Energy.Transitions, caps[i])
 	}
@@ -102,8 +101,8 @@ func (o Options) PowerSweep() (Figure, error) {
 		return Figure{}, fmt.Errorf("power %w", err)
 	}
 	var rest []clusterArm
-	for i := 1; i < len(arms); i++ {
-		caps[i] = arms[i].capFrac * reps[0].MeanPower
+	for i := 1; i < len(powerArms); i++ {
+		caps[i] = powerArms[i].capFrac * reps[0].MeanPower
 		rest = append(rest, armAt(i))
 	}
 	restReps, restLinks, err := o.runClusterArms(1, rest, line)
@@ -112,8 +111,8 @@ func (o Options) PowerSweep() (Figure, error) {
 	}
 	reps, links = append(reps, restReps...), append(links, restLinks...)
 
-	labels := make([]string, len(arms))
-	for i, a := range arms {
+	labels := make([]string, len(powerArms))
+	for i, a := range powerArms {
 		labels[i] = a.name
 	}
 	type report = *clusterserve.Report
