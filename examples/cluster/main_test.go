@@ -41,13 +41,38 @@ func TestInOrderPlacementFillsContiguously(t *testing.T) {
 	}
 }
 
-// TestClassAwarePlacementSpreadsClasses: class-aware placement pairs a
-// memory-bound with a compute-bound tenant on every GPU, keeps each class
-// in arrival order (stable sort), and leaves the caller's list untouched.
+// TestClassAwarePlacementSpreadsClasses: an arrival order that in-order
+// placement packs into same-class pairs still gives every GPU one
+// memory-bound and one compute-bound tenant under class-aware placement.
 func TestClassAwarePlacementSpreadsClasses(t *testing.T) {
+	js := benches(t, "PVC", "LBM", "DXTC", "CP")
+	inOrder := place(js, 2, false)
+	if inOrder[0][0].Class != inOrder[0][1].Class {
+		t.Fatalf("in-order placement %v: premise of a same-class pair broken", names(inOrder))
+	}
+	for gi, tenants := range place(js, 2, true) {
+		if len(tenants) != 2 {
+			t.Fatalf("gpu %d has %d tenants", gi, len(tenants))
+		}
+		if tenants[0].Class == tenants[1].Class {
+			t.Errorf("gpu %d hosts a homogeneous pair under class-aware placement", gi)
+		}
+	}
+}
+
+// TestClassAwarePlacementDeterministic: placement is a pure function of the
+// job list. Repeated placements are identical, each class keeps its arrival
+// order (stable sort), and the caller's list is left untouched.
+func TestClassAwarePlacementDeterministic(t *testing.T) {
 	js := benches(t, "DXTC", "PVC", "CP", "LBM", "BH", "SC")
+	first := place(js, 3, true)
+	for i := 0; i < 10; i++ {
+		if again := place(js, 3, true); !reflect.DeepEqual(first, again) {
+			t.Fatalf("placement %d diverged:\n%v\nvs\n%v", i, names(first), names(again))
+		}
+	}
 	want := [][]string{{"PVC", "DXTC"}, {"LBM", "CP"}, {"SC", "BH"}}
-	if got := names(place(js, 3, true)); !reflect.DeepEqual(got, want) {
+	if got := names(first); !reflect.DeepEqual(got, want) {
 		t.Errorf("class-aware placement = %v, want %v", got, want)
 	}
 	if js[0].Abbr != "DXTC" || js[1].Abbr != "PVC" {
