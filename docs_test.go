@@ -26,14 +26,35 @@ var (
 	pathLike = regexp.MustCompile(`^[\w.-]+(?:/[\w.*-]+)*$`)
 	symbol   = regexp.MustCompile(`\.[A-Z]\w*$`)
 	fileExt  = regexp.MustCompile(`^[A-Za-z][\w.-]*\.(?:go|md|json|txt|sh|ya?ml|mod)$`)
+	// A flag a command defines (fs.Int("cycles", ...)), a flag a span
+	// passes (-name, --name or -name=value), and a fenced line that runs a
+	// command, optionally after a "$ " prompt, up to its comment.
+	flagDef = regexp.MustCompile(`\.(?:Bool|Int|Int64|Uint|Uint64|String|Float64|Duration)\(\s*"([\w-]+)"`)
+	flagUse = regexp.MustCompile(`(?:^|\s)(--?([A-Za-z][\w-]*))`)
+	cmdLine = regexp.MustCompile(`(?m)^(?:\$ )?(?:go|bash) [^#\n]*`)
 )
+
+// The command mains whose flags the documents may cite, besides the go
+// command's own flags below.
+var flagMains = []string{"cmd/*/main.go", "bench/main.go"}
+
+// goToolFlags are go command flags the documents cite (go test -run, go -C);
+// no main.go of the repo defines them.
+var goToolFlags = map[string]bool{
+	"C": true, "o": true, "run": true, "bench": true, "benchtime": true,
+	"benchmem": true, "count": true, "cover": true, "race": true,
+	"short": true, "timeout": true, "v": true,
+}
 
 // TestDocsCiteExistingNames fails when README.md, DESIGN.md or
 // EXPERIMENTS.md cites, in backticks, something the repo does not have: a
 // Test*, Benchmark* or Fuzz* function (also as Name* or Name[Suffix]), a repo
 // path (a span whose first segment is a top-level entry, or a bare file name
-// with a source or data extension), or a make target. Deleting a function,
-// file or target without updating the documents that cite it fails here.
+// with a source or data extension), a make target, or a command-line flag
+// that no cmd/*/main.go or bench/main.go defines and the go command does not
+// take. Flags are read from inline spans and from fenced lines that run go
+// or bash. Deleting a function, file, target or flag without updating the
+// documents that cite it fails here.
 func TestDocsCiteExistingNames(t *testing.T) {
 	funcs := map[string]bool{}
 	base := map[string]bool{}
@@ -70,6 +91,22 @@ func TestDocsCiteExistingNames(t *testing.T) {
 	for _, m := range makeRule.FindAllStringSubmatch(string(mk), -1) {
 		targets[m[1]] = true
 	}
+	flags := map[string]bool{}
+	for _, pattern := range flagMains {
+		mains, err := filepath.Glob(pattern)
+		if err != nil || len(mains) == 0 {
+			t.Fatalf("no command main matches %s", pattern)
+		}
+		for _, path := range mains {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range flagDef.FindAllStringSubmatch(string(src), -1) {
+				flags[m[1]] = true
+			}
+		}
+	}
 
 	hasFunc := func(name, form string) bool {
 		switch {
@@ -101,13 +138,15 @@ func TestDocsCiteExistingNames(t *testing.T) {
 		text := string(src)
 		// Fenced blocks are cited code: their function names and make
 		// commands are checked, their shell paths are not.
-		var spans []string
+		var spans, flagSpans []string
 		for _, m := range fencedBlock.FindAllStringSubmatch(text, -1) {
 			spans = append(spans, m[1])
+			flagSpans = append(flagSpans, cmdLine.FindAllString(m[1], -1)...)
 		}
 		inline := inlineCode.FindAllStringSubmatch(fencedBlock.ReplaceAllString(text, ""), -1)
 		for _, m := range inline {
 			spans = append(spans, m[1])
+			flagSpans = append(flagSpans, m[1])
 		}
 		for _, span := range spans {
 			for _, m := range testName.FindAllStringSubmatch(span, -1) {
@@ -124,6 +163,13 @@ func TestDocsCiteExistingNames(t *testing.T) {
 		for _, m := range inline {
 			if ref := repoPath(m[1]); ref != "" && !pathExists(ref, base) {
 				report(doc, "`"+m[1]+"`, which is not in the repo")
+			}
+		}
+		for _, span := range flagSpans {
+			for _, m := range flagUse.FindAllStringSubmatch(span, -1) {
+				if !flags[m[2]] && !goToolFlags[m[2]] {
+					report(doc, "`"+m[1]+"`, a flag no command main defines")
+				}
 			}
 		}
 	}

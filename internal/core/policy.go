@@ -6,7 +6,6 @@ import (
 	"ugpu/internal/config"
 	"ugpu/internal/dram"
 	"ugpu/internal/gpu"
-	"ugpu/internal/power"
 )
 
 // Policy decides the GPU partition: its initial shape and (for dynamic
@@ -157,15 +156,6 @@ func NewUGPUSoft(cfg config.Config) *UGPU {
 	return &UGPU{name: "UGPU-Soft", alg: NewAlgorithm(cfg), opt: opt}
 }
 
-// NewUGPUScrubbed is an extension (not in the paper): UGPU plus a
-// background scrubber that migrates stranded pages without waiting for
-// faults.
-func NewUGPUScrubbed(cfg config.Config) *UGPU {
-	opt := gpu.DefaultOptions()
-	opt.ScrubBatch = 8
-	return &UGPU{name: "UGPU-scrub", alg: NewAlgorithm(cfg), opt: opt}
-}
-
 func (p *UGPU) Name() string         { return p.name }
 func (p *UGPU) Options() gpu.Options { return p.opt }
 
@@ -183,66 +173,6 @@ func (p *UGPU) Decide(cycle uint64, stats []gpu.EpochStats) ([]Target, int, bool
 		return nil, 0, false
 	}
 	return d.Targets, d.LatencyCycles(), true
-}
-
-// Algorithm exposes the underlying algorithm (tests, tools).
-func (p *UGPU) Algorithm() *Algorithm { return p.alg }
-
-// UGPUEnergy is the energy-aware partitioning variant (ISSUE 8): the UGPU
-// demand-aware algorithm followed by a release pass that optimizes IPC/watt.
-// A slice whose bandwidth demand still exceeds ReleaseDegree times its
-// supply after balancing is so supply-limited that shedding SM steps barely
-// moves its IPC — the freed SMs idle, their now-unowned frequency domains
-// park at the DVFS floor, and the active-cycle energy they were burning on
-// stalls disappears. Options carry a power config so the runner builds the
-// DVFS manager and governor.
-type UGPUEnergy struct {
-	*UGPU
-	// ReleaseDegree is the demand/supply ratio above which a slice sheds
-	// SMs (must stay > 1 so released slices remain supply-limited).
-	ReleaseDegree float64
-}
-
-// NewUGPUEnergy returns the IPC/watt variant with DVFS enabled.
-func NewUGPUEnergy(cfg config.Config) *UGPUEnergy {
-	opt := gpu.DefaultOptions()
-	opt.Power = &power.Config{}
-	return &UGPUEnergy{
-		UGPU:          &UGPU{name: "UGPU-energy", alg: NewAlgorithm(cfg), opt: opt},
-		ReleaseDegree: 1.5,
-	}
-}
-
-// Decide runs the demand-aware algorithm, then releases SMs from slices
-// that stay strongly memory-bound.
-func (p *UGPUEnergy) Decide(cycle uint64, stats []gpu.EpochStats) ([]Target, int, bool) {
-	targets, lat, ok := p.UGPU.Decide(cycle, stats)
-	if !ok {
-		targets = make([]Target, len(stats))
-		for i, e := range stats {
-			targets[i] = Target{SMs: e.SMs, Groups: e.Groups}
-		}
-	}
-	changed := ok
-	bw := p.alg.BW
-	for i, e := range stats {
-		pr := ProfileOf(e)
-		pr.SMs, pr.Groups = targets[i].SMs, targets[i].Groups
-		for pr.SMs-p.alg.SMStep >= p.alg.MinSMs {
-			trial := pr
-			trial.SMs -= p.alg.SMStep
-			if bw.Degree(trial) <= p.ReleaseDegree {
-				break // another step would leave bandwidth headroom unused
-			}
-			pr = trial
-			targets[i].SMs = pr.SMs
-			changed = true
-		}
-	}
-	if !changed {
-		return nil, 0, false
-	}
-	return targets, lat, true
 }
 
 // CDSearch reallocates only SMs between balanced GPU instances, driven by

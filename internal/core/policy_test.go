@@ -67,17 +67,14 @@ func TestMPSSharesAllGroups(t *testing.T) {
 
 func TestUGPUVariantOptions(t *testing.T) {
 	cfg := config.Default()
-	if o := NewUGPU(cfg).Options(); o.OriReshuffle || o.ScrubBatch != 0 {
+	if o := NewUGPU(cfg).Options(); o.OriReshuffle {
 		t.Errorf("UGPU options = %+v", o)
 	}
 	if o := NewUGPUOri(cfg).Options(); !o.OriReshuffle {
 		t.Error("UGPU-Ori must reshuffle the whole footprint")
 	}
-	if o := NewUGPUScrubbed(cfg).Options(); o.ScrubBatch <= 0 {
-		t.Error("UGPU-scrub must enable the scrubber")
-	}
 	names := map[string]bool{}
-	for _, p := range []Policy{NewUGPU(cfg), NewUGPUOri(cfg), NewUGPUSoft(cfg), NewUGPUScrubbed(cfg)} {
+	for _, p := range []Policy{NewUGPU(cfg), NewUGPUOri(cfg), NewUGPUSoft(cfg)} {
 		if names[p.Name()] {
 			t.Errorf("duplicate policy name %s", p.Name())
 		}

@@ -32,11 +32,6 @@ type FaultSummary struct {
 	PerAppLoss      []float64
 }
 
-// Any reports whether any fault was delivered during the run.
-func (f FaultSummary) Any() bool {
-	return f.SMFails > 0 || f.GroupFails > 0 || f.BankFaults > 0 || f.NoCDrops > 0 || f.MigNACKs > 0
-}
-
 // AppResult is one application's outcome over a run.
 type AppResult struct {
 	Abbr         string
@@ -104,11 +99,6 @@ type Runner struct {
 	Mix workload.Mix
 	G   *gpu.GPU
 
-	// PowerCap is the GPU power budget in watts for the DVFS governor
-	// (0 = uncapped). Effective only when the policy's options carry a
-	// power config; set before Run.
-	PowerCap float64
-
 	// PerturbFn, when non-nil, is invoked on the GPU right after epoch
 	// index PerturbEpoch completes (before that epoch's digest is taken).
 	// It is a test hook: the bisector's acceptance test uses it to inject a
@@ -117,7 +107,6 @@ type Runner struct {
 	PerturbFn    func(*gpu.GPU)
 	PerturbEpoch int
 
-	gov    *power.Governor
 	groups [][]int // concrete channel-group ids per app (disjoint mode)
 	shared bool    // MPS-style: group sets overlap, never reallocated
 
@@ -137,7 +126,9 @@ type epochRec struct {
 
 // NewRunner builds the GPU for the mix under the policy's initial partition.
 // A malformed cfg is rejected as a *config.FieldError before the policy
-// sees it.
+// sees it. So is a power config with more than one SM or HBM state: a
+// closed-world run meters energy but governs nothing (the DVFS governor
+// steps only in the serving layer), so its domains would sit at nominal.
 func NewRunner(cfg config.Config, pol Policy, mix workload.Mix) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -177,6 +168,13 @@ func NewRunner(cfg config.Config, pol Policy, mix workload.Mix) (*Runner, error)
 	g, err := gpu.New(cfg, specs, pol.Options())
 	if err != nil {
 		return nil, err
+	}
+	if pm := g.PowerManager(); pm != nil {
+		if sm, hbm := len(pm.SMStates()), len(pm.HBMStates()); sm > 1 || hbm > 1 {
+			return nil, &config.FieldError{Field: "Options.Power",
+				Value:  fmt.Sprintf("%d SM and %d HBM states", sm, hbm),
+				Reason: "a closed-world run only meters energy, so each table must hold the nominal state alone"}
+		}
 	}
 	r.G = g
 	return r, nil
@@ -263,10 +261,10 @@ func (r *Runner) applyTargets(cycle uint64, targets []Target) error {
 }
 
 // Step simulates one epoch: run to the next boundary, profile, take the
-// state digest, let the policy decide and apply a reallocation, and step the
-// DVFS governor. It reports done=true once MaxCycles is reached. Run loops
-// over Step; the differential bisector drives Step directly so it can stop
-// at a chosen epoch boundary and replay the divergent epoch cycle-by-cycle.
+// state digest, and let the policy decide and apply a reallocation. It
+// reports done=true once MaxCycles is reached. Run loops over Step; the
+// differential bisector drives Step directly so it can stop at a chosen
+// epoch boundary and replay the divergent epoch cycle-by-cycle.
 func (r *Runner) Step() (done bool, err error) {
 	if !r.started {
 		r.started = true
@@ -341,9 +339,6 @@ func (r *Runner) Step() (done bool, err error) {
 		}
 		r.res.Reallocations++
 	}
-	// The DVFS governor steps after the partition decision so domain
-	// ownership reflects the new allocation.
-	r.stepPower(r.G.Cycle(), stats)
 	return r.G.Cycle() >= total, nil
 }
 
@@ -424,32 +419,6 @@ func (r *Runner) finish() {
 		res.Faults.PerAppLoss = loss
 	}
 }
-
-// stepPower runs the DVFS governor for one epoch boundary. Closed-world
-// mode has no QoS classes or tenant churn, so every slot is best-effort and
-// its generation is the slot itself; the memory-boundedness degree comes
-// from the same Equation 1-2 model the partitioning algorithm uses.
-func (r *Runner) stepPower(cycle uint64, stats []gpu.EpochStats) {
-	pm := r.G.PowerManager()
-	if pm == nil {
-		return
-	}
-	if r.gov == nil {
-		r.gov = power.NewGovernor(pm, len(stats), r.PowerCap)
-	}
-	bw := BandwidthFor(r.Cfg)
-	slices := make([]power.Slice, len(stats))
-	for i, e := range stats {
-		s := power.Slice{Slot: i, Gen: i, MemDegree: bw.Degree(ProfileOf(e))}
-		s.SMDomains, s.Channels = r.G.AppendPowerDomains(i, nil, nil)
-		slices[i] = s
-	}
-	r.gov.Step(cycle, slices)
-}
-
-// Governor exposes the runner's DVFS governor (nil until the first boundary
-// of a power-enabled run).
-func (r *Runner) Governor() *power.Governor { return r.gov }
 
 // RunPolicy is the one-call helper: build a runner and run it.
 func RunPolicy(cfg config.Config, pol Policy, mix workload.Mix) (Result, error) {

@@ -199,11 +199,3 @@ func (inj *Injector) SetDropP(p float64) {
 	}
 	inj.dropP = p
 }
-
-// DropP is the current per-message NoC drop probability.
-func (inj *Injector) DropP() float64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.dropP
-}

@@ -55,17 +55,6 @@ func (g *GPU) FreeSMs() []int {
 	return out
 }
 
-// VacantSlots lists reusable application slots in ascending order.
-func (g *GPU) VacantSlots() []int {
-	var out []int
-	for i, app := range g.apps {
-		if app.state == appVacant {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // AttachApp admits a new tenant at a quiescent point (an epoch boundary):
 // it claims the lowest vacant slot (or appends one up to MaxApps), builds a
 // fresh dispatcher seeded by seedTag, maps the tenant's footprint eagerly

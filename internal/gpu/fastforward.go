@@ -160,17 +160,6 @@ func (g *GPU) nextActivity() uint64 {
 	if at, ok := g.inj.NextCycle(); ok && at < next {
 		next = at
 	}
-	// Scrub runs on 64-cycle boundaries whenever migration is armed; it can
-	// start new migrations from watermark drift, so its boundaries always
-	// bound the skip.
-	if !g.opt.DisableMigration && g.opt.ScrubBatch > 0 {
-		if c&63 == 0 {
-			return c
-		}
-		if at := ((c >> 6) + 1) << 6; at < next {
-			next = at
-		}
-	}
 	if next < c {
 		return c
 	}

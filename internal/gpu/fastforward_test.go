@@ -112,8 +112,8 @@ func TestFastForwardEquivalenceFaulted(t *testing.T) {
 }
 
 // TestFastForwardIdleSkips pins down that a quiescent machine is actually
-// skipped: with no applications attached, the only periodic work is the
-// 64-cycle scrub boundary, so nearly all cycles should be elided.
+// skipped: with no applications attached nothing is scheduled, so nearly
+// all cycles should be elided.
 func TestFastForwardIdleSkips(t *testing.T) {
 	g, err := New(testConfig(), nil, testOptions())
 	if err != nil {

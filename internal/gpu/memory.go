@@ -563,46 +563,3 @@ func (g *GPU) completeMigration(at uint64, appID int, vpn uint64) {
 	}
 	g.resolveTranslation(at, appID, vpn, pa, true)
 }
-
-// scrub starts optional background migrations for pages stranded outside
-// their app's channel groups (and the forced-reshuffle set under
-// OriReshuffle). The paper's design is purely fault-driven (Section 4.4);
-// scrubbing is an extension enabled by Options.ScrubBatch > 0 and evaluated
-// as an ablation.
-func (g *GPU) scrub(cycle uint64) {
-	if g.opt.DisableMigration || g.opt.ScrubBatch <= 0 {
-		return
-	}
-	budget := g.opt.ScrubBatch - g.migActive - len(g.migQueue)
-	if budget <= 0 {
-		return
-	}
-	for _, app := range g.apps {
-		if budget <= 0 {
-			return
-		}
-		if app.state != appActive {
-			continue // no new background migrations for draining/vacant slots
-		}
-		vpns := g.vmm.PagesToMigrate(app.ID, budget)
-		if len(vpns) < budget {
-			// Rebalance pages into newly gained (under-used) groups so the
-			// app uses its additional bandwidth without waiting for faults.
-			vpns = append(vpns, g.vmm.ImbalancePages(app.ID, budget-len(vpns))...)
-		}
-		for _, vpn := range vpns {
-			k := migKey(app.ID, vpn)
-			if g.migInFlight[k] {
-				continue
-			}
-			g.migInFlight[k] = true
-			g.stats.ScrubMigrations++
-			g.migQueue = append(g.migQueue, migJobReq{app: app.ID, vpn: vpn})
-			budget--
-			if budget <= 0 {
-				break
-			}
-		}
-	}
-	g.startQueuedMigrations(cycle)
-}

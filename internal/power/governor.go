@@ -112,9 +112,6 @@ func NewGovernor(m *Manager, maxSlots int, capW float64) *Governor {
 // SetCap replaces the power budget (cluster arbitration path).
 func (g *Governor) SetCap(watts float64) { g.cap = watts }
 
-// Cap returns the current budget (0 = uncapped).
-func (g *Governor) Cap() float64 { return g.cap }
-
 // Clamped reports whether the cap controller is at the frequency floor with
 // measured power still over budget.
 func (g *Governor) Clamped() bool { return g.clamped }

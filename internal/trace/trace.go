@@ -334,9 +334,6 @@ func (k Kind) String() string {
 // CategoryOf returns the kind's fixed category.
 func (k Kind) CategoryOf() Category { return kindInfo[k].cat }
 
-// SeverityOf returns the kind's default severity.
-func (k Kind) SeverityOf() Severity { return kindInfo[k].sev }
-
 // Event is one recorded occurrence. The struct is flat and pointer-free so a
 // ring of events is one allocation for the tracer's lifetime.
 type Event struct {

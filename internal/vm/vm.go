@@ -58,8 +58,8 @@ type space struct {
 	// Both grow on demand and always have the same length.
 	pt    []uint64
 	flags []uint8
-	// Running counts: mapped VPNs, and VPNs carrying each flag.
-	pages, migrating, pending int
+	// Running counts: mapped VPNs, and VPNs with a migration in flight.
+	pages, migrating int
 
 	groupN  []int  // resident pages per channel group
 	groups  []int  // currently allocated channel groups
@@ -107,9 +107,6 @@ func (s *space) count(f uint8, d int) {
 	if f&flagMigrating != 0 {
 		s.migrating += d
 	}
-	if f&flagPending != 0 {
-		s.pending += d
-	}
 }
 
 // balanced reports whether the app's per-group page counts are within 25%
@@ -156,7 +153,7 @@ type Manager struct {
 	// silicon is gone).
 	deadGroup []bool
 
-	// Scratch for the scans: the last stamp CheckInvariants wrote into
+	// Scratch for CheckInvariants: the last stamp it wrote into
 	// frameRec.mark, and one count per channel group.
 	mark      uint32
 	perGroupN []int
@@ -214,7 +211,7 @@ func (m *Manager) ReleaseSpace(app int) int {
 		m.stats.Allocated--
 	}
 	sp.pt, sp.flags = sp.pt[:0], sp.flags[:0]
-	sp.pages, sp.pending = 0, 0
+	sp.pages = 0
 	clear(sp.groupN)
 	sp.rebalancing = false
 	sp.groups = sp.groups[:0]
@@ -237,9 +234,8 @@ func ContentTag(app int, vpn uint64) uint64 {
 }
 
 // SetGroups assigns the application's channel groups. It does not migrate
-// anything by itself: callers use PagesOutside and PlanMigration to drain
-// pages from de-allocated groups (lazily on access or via a background
-// scrubber, Section 4.4).
+// anything by itself: pages on de-allocated groups move lazily, when an
+// access faults on them (NeedsMigration and PlanMigration, Section 4.4).
 func (m *Manager) SetGroups(app int, groups []int) {
 	sp := m.spaces[app]
 	sp.groups = append(sp.groups[:0], groups...)
@@ -446,9 +442,6 @@ func (m *Manager) FailGroup(group int) {
 	m.recycled[group] = nil
 }
 
-// GroupDead reports whether a channel group has been failed.
-func (m *Manager) GroupDead(group int) bool { return m.deadGroup[group] }
-
 // PagesOnGroup lists the app's resident pages on the given channel group in
 // ascending VPN order, skipping pages already migrating.
 func (m *Manager) PagesOnGroup(app, group int) []uint64 {
@@ -546,98 +539,6 @@ func (m *Manager) SetRebalancing(app int, on bool) {
 // Rebalancing reports the app's channel-list register state.
 func (m *Manager) Rebalancing(app int) bool { return m.spaces[app].rebalancing }
 
-// PagesToMigrate lists up to limit pages that a background scrubber should
-// move, each in ascending VPN order: pages outside the allowed groups first,
-// then forced-reshuffle pages.
-func (m *Manager) PagesToMigrate(app int, limit int) []uint64 {
-	out := m.PagesOutside(app, limit)
-	sp := m.spaces[app]
-	if left := sp.pending; left > 0 && (limit <= 0 || len(out) < limit) {
-		for vpn, f := range sp.flags {
-			if f&flagPending == 0 {
-				continue
-			}
-			// Pages outside the allowed groups were listed above.
-			if f&flagMigrating == 0 && sp.allowed[m.mapper.ChannelGroup(sp.pt[vpn]-1)] {
-				out = append(out, uint64(vpn))
-				if limit > 0 && len(out) >= limit {
-					break
-				}
-			}
-			if left--; left == 0 {
-				break
-			}
-		}
-	}
-	return out
-}
-
-// PagesOutside lists, in ascending VPN order, up to limit resident pages
-// that are NOT in the application's allowed groups — the pages a background
-// scrubber or fault-driven path must migrate after a reallocation. limit <= 0
-// means all.
-func (m *Manager) PagesOutside(app int, limit int) []uint64 {
-	sp := m.spaces[app]
-	left := 0
-	for g, n := range sp.groupN {
-		if !sp.allowed[g] {
-			left += n
-		}
-	}
-	var out []uint64
-	for vpn := 0; left > 0 && vpn < len(sp.pt); vpn++ {
-		e := sp.pt[vpn]
-		if e == 0 || sp.allowed[m.mapper.ChannelGroup(e-1)] {
-			continue
-		}
-		left--
-		if sp.flags[vpn]&flagMigrating != 0 {
-			continue
-		}
-		out = append(out, uint64(vpn))
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out
-}
-
-// ImbalancePages lists, in ascending VPN order, up to limit pages that should
-// move to newly allocated (under-used) groups to balance page counts across
-// the app's groups — Section 4.4's inbound migration for apps that gained
-// channels. Pages are drawn from the groups holding more than their share.
-func (m *Manager) ImbalancePages(app int, limit int) []uint64 {
-	sp := m.spaces[app]
-	if len(sp.groups) < 2 || sp.pages == 0 {
-		return nil
-	}
-	target := sp.pages / len(sp.groups)
-	excess, left := m.perGroupN, 0
-	clear(excess)
-	for _, g := range sp.groups {
-		if n := sp.groupN[g] - target - 1; n > 0 {
-			excess[g] = n
-			left += n
-		}
-	}
-	var out []uint64
-	for vpn := 0; left > 0 && vpn < len(sp.pt); vpn++ {
-		e := sp.pt[vpn]
-		if e == 0 || sp.flags[vpn]&flagMigrating != 0 {
-			continue
-		}
-		if g := m.mapper.ChannelGroup(e - 1); excess[g] > 0 {
-			out = append(out, uint64(vpn))
-			excess[g]--
-			left--
-			if limit > 0 && len(out) >= limit {
-				break
-			}
-		}
-	}
-	return out
-}
-
 // GroupLoad reports the app's resident page count per channel group.
 func (m *Manager) GroupLoad(app int) []int {
 	return append([]int(nil), m.spaces[app].groupN...)
@@ -659,16 +560,16 @@ func (m *Manager) nextMark() uint32 {
 
 // CheckInvariants validates global frame bookkeeping: every mapped page's
 // frame is owned by exactly that page, no frame is mapped twice, the
-// per-group and per-flag counts match the page tables, and every free list
-// holds distinct, unowned frames below its group's bump cursor. It walks the
-// tables linearly, stamping frame records to detect duplicates, and
+// per-group, page and in-flight counts match the page tables, and every free
+// list holds distinct, unowned frames below its group's bump cursor. It walks
+// the tables linearly, stamping frame records to detect duplicates, and
 // allocates nothing unless it reports an error.
 func (m *Manager) CheckInvariants() error {
 	mapped := m.nextMark()
 	count := m.perGroupN
 	for app, sp := range m.spaces {
 		clear(count)
-		pages, migrating, pending := 0, 0, 0
+		pages, migrating := 0, 0
 		for i, e := range sp.pt {
 			vpn, f := uint64(i), sp.flags[i]
 			if e == 0 {
@@ -680,9 +581,6 @@ func (m *Manager) CheckInvariants() error {
 			pages++
 			if f&flagMigrating != 0 {
 				migrating++
-			}
-			if f&flagPending != 0 {
-				pending++
 			}
 			pa := e - 1
 			g, fr := m.mapper.FrameOf(pa)
@@ -704,9 +602,9 @@ func (m *Manager) CheckInvariants() error {
 				return fmt.Errorf("vm: app %d group %d index holds %d pages, page table %d", app, g, n, count[g])
 			}
 		}
-		if pages != sp.pages || migrating != sp.migrating || pending != sp.pending {
-			return fmt.Errorf("vm: app %d counts pages/migrating/pending %d/%d/%d, page table %d/%d/%d",
-				app, sp.pages, sp.migrating, sp.pending, pages, migrating, pending)
+		if pages != sp.pages || migrating != sp.migrating {
+			return fmt.Errorf("vm: app %d counts pages/migrating %d/%d, page table %d/%d",
+				app, sp.pages, sp.migrating, pages, migrating)
 		}
 	}
 	free := m.nextMark()

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -106,9 +107,9 @@ func TestMigrationMovesPageAndPreservesTag(t *testing.T) {
 	if mgr.InAllowedGroup(0, pa) {
 		t.Fatal("old frame still counted as allowed")
 	}
-	out := mgr.PagesOutside(0, 0)
+	out := mgr.PagesOnGroup(0, 0)
 	if len(out) != 1 || out[0] != 42 {
-		t.Fatalf("PagesOutside = %v, want [42]", out)
+		t.Fatalf("PagesOnGroup(lost group) = %v, want [42]", out)
 	}
 
 	mig := mgr.PlanMigration(0, 42, -1)
@@ -141,8 +142,8 @@ func TestMigrationMovesPageAndPreservesTag(t *testing.T) {
 	if !mgr.InAllowedGroup(0, newPA) {
 		t.Error("migrated page not in allowed group")
 	}
-	if len(mgr.PagesOutside(0, 0)) != 0 {
-		t.Error("pages still outside after migration")
+	if len(mgr.PagesOnGroup(0, 0)) != 0 {
+		t.Error("pages still on the lost group after migration")
 	}
 	if err := mgr.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -194,34 +195,16 @@ func TestFrameRecyclingReusesFreedFrames(t *testing.T) {
 	}
 }
 
-func TestImbalancePagesAfterGainingGroups(t *testing.T) {
-	mgr, _, _ := newManager(t, 1)
-	mgr.SetGroups(0, []int{0, 1})
-	for vpn := uint64(0); vpn < 100; vpn++ {
-		mgr.HandleFault(0, vpn)
-	}
-	// Gain two more groups: half the pages should want to move.
-	mgr.SetGroups(0, []int{0, 1, 2, 3})
-	moves := mgr.ImbalancePages(0, 0)
-	if len(moves) < 30 || len(moves) > 60 {
-		t.Errorf("ImbalancePages proposes %d moves, want roughly half of 100", len(moves))
-	}
-	for _, vpn := range moves {
-		mig := mgr.PlanMigration(0, vpn, -1)
-		if mig == nil {
-			t.Fatalf("no plan for vpn %#x", vpn)
-		}
-		mig.Commit()
-	}
-	load := mgr.GroupLoad(0)
-	for g := 0; g < 4; g++ {
-		if load[g] < 15 || load[g] > 35 {
-			t.Errorf("group %d holds %d pages after rebalance, want ~25", g, load[g])
+// stranded lists up to limit of the app's resident pages on the channel
+// groups it does not hold (the groups it lost), group by group.
+func stranded(mgr *Manager, app int, held []int, limit int) []uint64 {
+	var out []uint64
+	for g := range mgr.GroupLoad(app) {
+		if !slices.Contains(held, g) {
+			out = append(out, mgr.PagesOnGroup(app, g)...)
 		}
 	}
-	if err := mgr.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
+	return out[:min(limit, len(out))]
 }
 
 func TestRandomisedMigrationStress(t *testing.T) {
@@ -240,7 +223,7 @@ func TestRandomisedMigrationStress(t *testing.T) {
 		g := rng.Intn(8)
 		groups := []int{g, (g + 1) % 8, (g + 3) % 8}
 		mgr.SetGroups(app, groups)
-		for _, vpn := range mgr.PagesOutside(app, 20) {
+		for _, vpn := range stranded(mgr, app, groups, 20) {
 			if mig := mgr.PlanMigration(app, vpn, -1); mig != nil {
 				if rng.Intn(10) == 0 {
 					mig.Abort()
@@ -272,8 +255,9 @@ func TestQuickMigrationInvariants(t *testing.T) {
 			return NewManager(cfg, m, 2), m, cfg
 		}()
 		rng := rand.New(rand.NewSource(seed))
-		mgr.SetGroups(0, []int{0, 1, 2, 3})
-		mgr.SetGroups(1, []int{4, 5, 6, 7})
+		held := [2][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
+		mgr.SetGroups(0, held[0])
+		mgr.SetGroups(1, held[1])
 		mapped := [2]uint64{}
 		for i := 0; i < 300; i++ {
 			app := rng.Intn(2)
@@ -283,9 +267,10 @@ func TestQuickMigrationInvariants(t *testing.T) {
 				mapped[app]++
 			case 2: // reallocate groups
 				g := rng.Intn(8)
-				mgr.SetGroups(app, []int{g, (g + 2) % 8})
-			case 3: // migrate an outside page
-				for _, vpn := range mgr.PagesOutside(app, 1) {
+				held[app] = []int{g, (g + 2) % 8}
+				mgr.SetGroups(app, held[app])
+			case 3: // migrate a page off a lost group
+				for _, vpn := range stranded(mgr, app, held[app], 1) {
 					if mig := mgr.PlanMigration(app, vpn, -1); mig != nil {
 						mig.Commit()
 					}
@@ -414,22 +399,13 @@ func TestScansListAscendingVPN(t *testing.T) {
 			}
 		}
 	}
-	// Nothing stranded, pending or over-loaded: every scan is empty.
-	if n := len(mgr.PagesToMigrate(0, 0)) + len(mgr.ImbalancePages(0, 0)); n != 0 {
-		t.Errorf("balanced space lists %d pages to move", n)
-	}
 	ascending("PagesOnGroup", mgr.PagesOnGroup(0, 1), 50)
 
+	// A lost group still lists its pages, lowest VPN first.
 	mgr.SetGroups(0, []int{1, 2, 3})
-	ascending("PagesOutside", mgr.PagesOutside(0, 0), 50)
-	ascending("PagesOutside(limit)", mgr.PagesOutside(0, 8), 8)
-	if got := mgr.PagesOutside(0, 1); got[0] != 0 {
-		t.Errorf("first stranded page = %d, want 0", got[0])
+	lost := mgr.PagesOnGroup(0, 0)
+	ascending("PagesOnGroup(lost)", lost, 50)
+	if lost[0] != 0 {
+		t.Errorf("first stranded page = %d, want 0", lost[0])
 	}
-	ascending("ImbalancePages", mgr.ImbalancePages(0, 0), 50-100/3-1)
-
-	mgr.SetGroups(0, []int{0, 1})
-	mgr.MarkAllPending(0)
-	ascending("PagesToMigrate", mgr.PagesToMigrate(0, 0), 100)
-	ascending("PagesToMigrate(limit)", mgr.PagesToMigrate(0, 10), 10)
 }

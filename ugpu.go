@@ -412,8 +412,3 @@ var (
 	// attributes per operating state (DefaultEnergy's table).
 	DefaultPowerWeights = power.DefaultWeights
 )
-
-// NewUGPUEnergy is the energy-aware partitioning variant: the UGPU
-// demand-aware algorithm plus a release pass that sheds SMs from strongly
-// memory-bound slices to optimize IPC/watt, with DVFS enabled.
-var NewUGPUEnergy = core.NewUGPUEnergy
