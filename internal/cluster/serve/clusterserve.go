@@ -118,7 +118,8 @@ type Config struct {
 
 // Validate checks the cluster knobs, returning a *config.FieldError naming
 // the first violated constraint (the backend serve.Config and simulator
-// geometry are validated through serve.Config.Validate), or nil.
+// geometry are validated through serve.Config.Validate, then the arrival
+// spec when Jobs is nil), or nil.
 func (c Config) Validate() error {
 	if c.GPUs < 0 {
 		return &config.FieldError{Field: "clusterserve.GPUs", Value: c.GPUs,
@@ -152,7 +153,13 @@ func (c Config) Validate() error {
 		return &config.FieldError{Field: "clusterserve.BackendTracers", Value: len(c.BackendTracers),
 			Reason: fmt.Sprintf("must have one entry per GPU (%d)", c.effectiveGPUs())}
 	}
-	return c.backendConfig(nil).Validate()
+	if err := c.backendConfig(nil).Validate(); err != nil {
+		return err
+	}
+	if c.Jobs == nil {
+		return c.Arrivals.Validate()
+	}
+	return nil
 }
 
 func (c Config) effectiveGPUs() int {
@@ -164,24 +171,16 @@ func (c Config) effectiveGPUs() int {
 
 // backendConfig is the serve.Config every backend is built from. The empty
 // non-nil Jobs slice selects backend mode (arrivals only via Offer); the
-// frontend owns the real schedule. Validation of the cluster arrival spec
-// still runs against the frontend's own mode, so the nil-tracer variant
-// doubles as the Validate target.
+// frontend owns the real schedule.
 func (c Config) backendConfig(tr *trace.Tracer) serve.Config {
 	opt := c.Opt
 	opt.Trace = tr
-	jobs := []workload.Job{}
-	if c.Jobs == nil {
-		// Arrival mode: let serve.Config.Validate check the spec too. The
-		// actual backends are always built with the empty schedule below.
-		jobs = nil
-	}
 	return serve.Config{
 		Sim:      c.Sim,
 		Opt:      opt,
 		Arrivals: c.Arrivals,
 		Seed:     c.Seed,
-		Jobs:     jobs,
+		Jobs:     []workload.Job{},
 		QueueCap: c.QueueCap,
 		Alone:    c.Alone,
 		PowerCap: c.PowerCap / float64(c.effectiveGPUs()),
@@ -339,7 +338,6 @@ func New(cfg Config) (*Frontend, error) {
 			tr = cfg.BackendTracers[i]
 		}
 		bcfg := cfg.backendConfig(tr)
-		bcfg.Jobs = []workload.Job{} // always backend mode
 		if !bcfg.Opt.Faults.Empty() {
 			// Intra-GPU fault injection composes with whole-GPU crashes;
 			// offset the seed so each backend degrades independently.
@@ -436,9 +434,6 @@ type Report struct {
 func (f *Frontend) Run() (*Report, error) {
 	horizon := uint64(f.cfg.Sim.MaxCycles)
 	epoch := uint64(f.cfg.Sim.EpochCycles)
-	if epoch == 0 || epoch > horizon {
-		epoch = horizon
-	}
 	runner := parallel.New(f.cfg.Parallel)
 	cycle := uint64(0)
 	for cycle < horizon {
@@ -886,10 +881,7 @@ func (f *Frontend) report(cycle uint64) *Report {
 		LostWork:       f.lostWork,
 	}
 	if f.health != nil || len(f.grayPlan) > 0 {
-		fo.GrayFaults = len(f.grayPlan)
-		fo.GrayDetected, fo.GrayFalsePositives, fo.GrayMissed,
-			fo.GrayDetectEpochs, fo.QuarantinedGPUCycles = f.grayStats(cycle)
-		fo.GraySavedWork = f.graySaved
+		fo.GrayStats = f.grayStats(cycle)
 	}
 	r.SLO = metrics.BuildSLOReport(r.Outcomes, metrics.DefaultSLO(), f.cfg.Sim.MaxCycles, fo)
 	if len(f.digestChain) > 0 {

@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"ugpu/internal/fault"
+	"ugpu/internal/metrics"
 	"ugpu/internal/serve"
 	"ugpu/internal/trace"
 )
@@ -409,12 +410,10 @@ func (f *Frontend) lcEligible(gpu int) bool {
 // edges); suspicions with no overlapping window are false positives, and
 // windows never flagged are misses. Quarantine time sums closed intervals
 // plus any interval still open at the horizon.
-func (f *Frontend) grayStats(cycle uint64) (detected, fps, missed int, meanEpochs float64, quarCycles uint64) {
+func (f *Frontend) grayStats(cycle uint64) metrics.GrayStats {
 	epoch := uint64(f.cfg.Sim.EpochCycles)
-	if epoch == 0 {
-		epoch = cycle + 1
-	}
 	grace := 2 * epoch
+	st := metrics.GrayStats{GrayFaults: len(f.grayPlan), GraySavedWork: f.graySaved}
 	matched := make([]bool, len(f.grayPlan))
 	var latSum float64
 	for _, tr := range f.healthLog {
@@ -430,27 +429,27 @@ func (f *Frontend) grayStats(cycle uint64) (detected, fps, missed int, meanEpoch
 			hit = true
 			if !matched[k] {
 				matched[k] = true
-				detected++
+				st.GrayDetected++
 				latSum += float64(uint64(tr.Cycle)-gf.Start) / float64(epoch)
 			}
 			break
 		}
 		if !hit {
-			fps++
+			st.GrayFalsePositives++
 		}
 	}
-	missed = len(f.grayPlan) - detected
-	if detected > 0 {
-		meanEpochs = latSum / float64(detected)
+	st.GrayMissed = len(f.grayPlan) - st.GrayDetected
+	if st.GrayDetected > 0 {
+		st.GrayDetectEpochs = latSum / float64(st.GrayDetected)
 	}
 	for i := range f.health {
 		bh := &f.health[i]
-		quarCycles += bh.quarCycles
+		st.QuarantinedGPUCycles += bh.quarCycles
 		if bh.quarStart >= 0 {
-			quarCycles += cycle - uint64(bh.quarStart)
+			st.QuarantinedGPUCycles += cycle - uint64(bh.quarStart)
 		}
 	}
-	return
+	return st
 }
 
 // HealthLog returns the recorded state transitions (tests).

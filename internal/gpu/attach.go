@@ -2,12 +2,13 @@ package gpu
 
 // Live tenant attach/detach for the online serving layer (ISSUE 3).
 //
-// The closed-world GPU of New() places a fixed tenant list once and runs it
-// to completion. The serving layer instead changes a GPU's population
-// mid-run: a departing tenant's slice is reclaimed (SMs released to the free
-// pool immediately, pages freed once every in-flight access/translation/
-// migration referencing the tenant has drained) and an arriving tenant is
-// granted a slice carved by the epoch policy.
+// The closed-world GPU of New() launches a fixed tenant list once, through
+// the same attach path, and runs it to completion. The serving layer instead
+// changes a GPU's population mid-run: a departing tenant's slice is
+// reclaimed (SMs released to the free pool immediately, pages freed once
+// every in-flight access/translation/migration referencing the tenant has
+// drained) and an arriving tenant is granted a slice carved by the epoch
+// policy.
 //
 // Detach is two-phase, mirroring how fault recovery (faults.go) separates
 // instant ownership repair from slow data evacuation:
@@ -39,8 +40,8 @@ import (
 
 // seedTagMix keeps a reattached slot's address streams distinct from every
 // previous occupant of the same slot: the serving layer passes the global
-// job id as seedTag, and the multiplier (same odd constant New uses for
-// closed-world apps) spreads consecutive tags across the seed space.
+// job id as seedTag (New passes the slot id), and the odd multiplier spreads
+// consecutive tags across the seed space.
 const seedTagMix = 0x7F4A7C15
 
 // FreeSMs lists SMs available for granting: idle (unowned, not draining
@@ -61,6 +62,12 @@ func (g *GPU) FreeSMs() []int {
 // onto spec.Groups, and assigns spec.SMs SMs from the free pool. It returns
 // the slot id.
 func (g *GPU) AttachApp(cycle uint64, spec AppSpec, seedTag uint64) (int, error) {
+	return g.attach(cycle, spec, seedTag, true)
+}
+
+// attach is AttachApp; New launches its tenants through it with live false,
+// which leaves out the attach trace event (a launch is not an arrival).
+func (g *GPU) attach(cycle uint64, spec AppSpec, seedTag uint64, live bool) (int, error) {
 	if spec.SMs <= 0 {
 		return -1, fmt.Errorf("gpu: attach needs at least one SM")
 	}
@@ -121,19 +128,15 @@ func (g *GPU) AttachApp(cycle uint64, spec AppSpec, seedTag uint64) (int, error)
 	g.apps[id] = app
 
 	g.vmm.SetGroups(id, groups)
-	// Eager allocation, as at launch in New: the dataset is mapped up front
-	// (the evaluation has no memory oversubscription).
+	// Eager allocation: the dataset is mapped up front; far faults are out
+	// of scope (the evaluation has no memory oversubscription).
 	for vpn := uint64(0); vpn < app.Disp.FootprintPages(); vpn++ {
 		g.vmm.HandleFault(id, vpn)
 	}
-	g.tr.Emit(trace.KAttach, cycle, int32(id), 0, int64(spec.SMs), int64(len(groups)), int64(seedTag))
-	for _, smID := range free[:spec.SMs] {
-		app.SMs = append(app.SMs, smID)
-		// The idle SM's L1 may hold lines of frames recycled from a departed
-		// tenant; start the new tenant cold.
-		g.smL1[smID].InvalidateAll()
-		g.sms[smID].Assign(cycle, app.smApp)
+	if live {
+		g.tr.Emit(trace.KAttach, cycle, int32(id), 0, int64(spec.SMs), int64(len(groups)), int64(seedTag))
 	}
+	g.assignSMs(cycle, app, free[:spec.SMs])
 	return id, nil
 }
 
@@ -283,13 +286,17 @@ func (g *GPU) GrantSMs(cycle uint64, id, n int) int {
 		return 0
 	}
 	free := g.FreeSMs()
-	if n > len(free) {
-		n = len(free)
-	}
-	for _, smID := range free[:n] {
+	n = min(n, len(free))
+	g.assignSMs(cycle, app, free[:n])
+	return n
+}
+
+// assignSMs hands the given free SMs to app. An idle SM's L1 may hold lines
+// of frames recycled from a departed tenant, so each starts cold.
+func (g *GPU) assignSMs(cycle uint64, app *App, sms []int) {
+	for _, smID := range sms {
 		app.SMs = append(app.SMs, smID)
 		g.smL1[smID].InvalidateAll()
 		g.sms[smID].Assign(cycle, app.smApp)
 	}
-	return n
 }

@@ -1,8 +1,10 @@
 package gpu
 
 import (
+	"reflect"
 	"testing"
 
+	"ugpu/internal/trace"
 	"ugpu/internal/workload"
 )
 
@@ -166,5 +168,84 @@ func TestDetachDeterminism(t *testing.T) {
 	i2, d2, c2 := run()
 	if i1 != i2 || d1 != d2 || c1 != c2 {
 		t.Fatalf("detach+reattach not deterministic: (%d,%d,%d) vs (%d,%d,%d)", i1, d1, c1, i2, d2, c2)
+	}
+}
+
+// TestLaunchMatchesAttach: a GPU built with its tenants is the same machine
+// as an empty GPU that attaches each spec at cycle 0 with the slot id as
+// seed tag. Both must agree on the state digest at every epoch boundary,
+// and their traces must agree once the attach events are dropped (only a
+// live attach records one).
+func TestLaunchMatchesAttach(t *testing.T) {
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for _, tc := range []struct {
+		name  string
+		specs []AppSpec
+	}{
+		{"disjoint", []AppSpec{
+			{Bench: bench(t, "PVC"), SMs: 30, Groups: []int{0, 1, 2}},
+			{Bench: bench(t, "DXTC"), SMs: 40, Groups: []int{3, 4, 5, 6, 7}},
+		}},
+		{"mps-shared", []AppSpec{
+			{Bench: bench(t, "LBM"), SMs: 40, Groups: all},
+			{Bench: bench(t, "DXTC"), SMs: 40, Groups: all},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func(launch bool) (*GPU, *trace.Tracer) {
+				opt := testOptions()
+				opt.Trace = trace.New(1 << 16)
+				specs := tc.specs
+				if !launch {
+					specs = nil
+				}
+				g, err := New(testConfig(), specs, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !launch {
+					for i, s := range tc.specs {
+						if id, err := g.AttachApp(0, s, uint64(i)); err != nil || id != i {
+							t.Fatalf("AttachApp(%d) = %d, %v", i, id, err)
+						}
+					}
+				}
+				return g, opt.Trace
+			}
+			a, atr := build(true)
+			b, btr := build(false)
+			for epoch := 0; epoch <= 4; epoch++ {
+				if da, db := a.StateDigest(), b.StateDigest(); da != db {
+					t.Fatalf("epoch %d: launched digest %x, attached %x", epoch, da, db)
+				}
+				a.Run(10_000)
+				b.Run(10_000)
+				a.EndEpoch()
+				b.EndEpoch()
+			}
+			if atr.Overwritten() != 0 || btr.Overwritten() != 0 {
+				t.Fatal("trace ring wrapped")
+			}
+			dropAttach := func(evs []trace.Event) []trace.Event {
+				var out []trace.Event
+				for _, e := range evs {
+					if e.Kind != trace.KAttach {
+						out = append(out, e)
+					}
+				}
+				return out
+			}
+			all := btr.Events()
+			ea, eb := atr.Events(), dropAttach(all)
+			if len(ea) == 0 {
+				t.Fatal("launched trace is empty")
+			}
+			if n := len(all) - len(eb); n != len(tc.specs) {
+				t.Fatalf("attached trace holds %d attach events, want %d", n, len(tc.specs))
+			}
+			if !reflect.DeepEqual(ea, eb) {
+				t.Fatalf("traces differ: launched %d events, attached %d without attach events", len(ea), len(eb))
+			}
+		})
 	}
 }

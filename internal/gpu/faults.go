@@ -233,19 +233,7 @@ func (g *GPU) InjectorCounts() fault.Counts { return g.inj.Counts() }
 // un-elevated GPU stays byte-identical to one that never had the hook.
 func (g *GPU) SetNoCDropP(p float64) {
 	if g.inj == nil {
-		seed := g.opt.FaultSeed
-		if seed == 0 {
-			seed = g.cfg.Seed
-		}
-		g.inj = fault.NewInjector(seed, fault.Spec{}, fault.Geometry{
-			NumSMs:        g.cfg.NumSMs,
-			NumGroups:     g.cfg.ChannelGroups(),
-			NumChannels:   g.cfg.NumChannels(),
-			BankGroups:    g.cfg.BankGroups,
-			BanksPerGroup: g.cfg.BanksPerGroup,
-			Horizon:       uint64(g.cfg.MaxCycles),
-		})
-		g.inj.Trace = g.tr
+		g.inj = g.newInjector(fault.Spec{})
 	}
 	g.inj.SetDropP(p)
 	if p > 0 && g.reqNet.Drop == nil {
@@ -253,6 +241,26 @@ func (g *GPU) SetNoCDropP(p float64) {
 		g.reqNet.Drop = drop
 		g.rspNet.Drop = drop
 	}
+}
+
+// newInjector builds the GPU's fault injector for spec, seeded by
+// Options.FaultSeed (the config seed when zero) and traced on the GPU's
+// tracer. Callers wire the hooks the spec needs.
+func (g *GPU) newInjector(spec fault.Spec) *fault.Injector {
+	seed := g.opt.FaultSeed
+	if seed == 0 {
+		seed = g.cfg.Seed
+	}
+	inj := fault.NewInjector(seed, spec, fault.Geometry{
+		NumSMs:        g.cfg.NumSMs,
+		NumGroups:     g.cfg.ChannelGroups(),
+		NumChannels:   g.cfg.NumChannels(),
+		BankGroups:    g.cfg.BankGroups,
+		BanksPerGroup: g.cfg.BanksPerGroup,
+		Horizon:       uint64(g.cfg.MaxCycles),
+	})
+	inj.Trace = g.tr
+	return inj
 }
 
 // FirstFaultCycle reports when the first discrete fault struck (0 = none).

@@ -13,8 +13,6 @@
 package gpu
 
 import (
-	"fmt"
-
 	"ugpu/internal/addr"
 	"ugpu/internal/cache"
 	"ugpu/internal/config"
@@ -436,33 +434,18 @@ func log2of(v int) uint {
 	return s
 }
 
-// New builds a GPU with the given co-running applications. The specs' SM
-// counts must sum to at most cfg.NumSMs and their group sets must be
-// disjoint unless sharing is intended (MPS shares all groups).
+// New builds a GPU and launches the given co-running applications through
+// the attach path (AttachApp at cycle 0, seed tag = slot id), so a tenant
+// placed at construction is the same tenant a live attach would build, and
+// each spec passes attach's checks. Group sets must be disjoint unless
+// sharing is intended (MPS shares all groups).
 func New(cfg config.Config, specs []AppSpec, opt Options) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(specs) > MaxApps {
-		return nil, fmt.Errorf("gpu: %d applications, want 0..%d", len(specs), MaxApps)
-	}
 	if opt.FootprintScale <= 0 {
 		opt.FootprintScale = 16
 	}
-	total := 0
-	for _, s := range specs {
-		total += s.SMs
-		if s.SMs <= 0 {
-			return nil, fmt.Errorf("gpu: app needs at least one SM")
-		}
-		if len(s.Groups) == 0 {
-			return nil, fmt.Errorf("gpu: app needs at least one channel group")
-		}
-	}
-	if total > cfg.NumSMs {
-		return nil, fmt.Errorf("gpu: %d SMs requested, only %d exist", total, cfg.NumSMs)
-	}
-
 	mapper := addr.NewCustomMapper(cfg)
 	g := &GPU{
 		cfg:           cfg,
@@ -481,7 +464,7 @@ func New(cfg config.Config, specs []AppSpec, opt Options) (*GPU, error) {
 		slices:        make([]*llcSlice, cfg.LLCSlices),
 		spilled:       make([]uint64, (cfg.NumChannels()+63)/64),
 		hbm:           dram.New(cfg, MaxApps),
-		vmm:           vm.NewManager(cfg, mapper, len(specs)),
+		vmm:           vm.NewManager(cfg, mapper),
 		transPending:  make(map[uint64][]migWaiter),
 		replayQ:       make([]replayFIFO, cfg.NumSMs),
 		migInFlight:   make(map[uint64]bool),
@@ -495,19 +478,7 @@ func New(cfg config.Config, specs []AppSpec, opt Options) (*GPU, error) {
 	}
 	g.wheel.g = g
 	if !opt.Faults.Empty() {
-		seed := opt.FaultSeed
-		if seed == 0 {
-			seed = cfg.Seed
-		}
-		g.inj = fault.NewInjector(seed, opt.Faults, fault.Geometry{
-			NumSMs:        cfg.NumSMs,
-			NumGroups:     cfg.ChannelGroups(),
-			NumChannels:   cfg.NumChannels(),
-			BankGroups:    cfg.BankGroups,
-			BanksPerGroup: cfg.BanksPerGroup,
-			Horizon:       uint64(cfg.MaxCycles),
-		})
-		g.inj.Trace = g.tr
+		g.inj = g.newInjector(opt.Faults)
 		g.hbm.MigNACK = g.inj.NACKMigration
 		if opt.Faults.NoCDrop > 0 {
 			drop := func(src, dst int) bool { return g.inj.DropMessage() }
@@ -586,32 +557,10 @@ func New(cfg config.Config, specs []AppSpec, opt Options) (*GPU, error) {
 		}
 	}
 
-	nextSM := 0
 	for id, spec := range specs {
-		app := &App{
-			ID:     id,
-			Bench:  spec.Bench,
-			Disp:   workload.NewDispatcher(spec.Bench, opt.FootprintScale, cfg.PageBytes),
-			Groups: append([]int(nil), spec.Groups...),
+		if _, err := g.attach(0, spec, uint64(id), false); err != nil {
+			return nil, err
 		}
-		app.smApp = &sm.App{
-			ID:         id,
-			Dispatcher: app.Disp,
-			PageBytes:  cfg.PageBytes,
-			SeedBase:   uint64(cfg.Seed)<<16 + uint64(id+1)*0x7F4A7C15,
-		}
-		g.vmm.SetGroups(id, spec.Groups)
-		// Eager allocation: datasets are mapped at launch; far faults are
-		// out of scope (the evaluation has no memory oversubscription).
-		for vpn := uint64(0); vpn < app.Disp.FootprintPages(); vpn++ {
-			g.vmm.HandleFault(id, vpn)
-		}
-		for i := 0; i < spec.SMs; i++ {
-			app.SMs = append(app.SMs, nextSM)
-			g.sms[nextSM].Assign(0, app.smApp)
-			nextSM++
-		}
-		g.apps = append(g.apps, app)
 	}
 	return g, nil
 }

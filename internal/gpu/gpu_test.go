@@ -68,6 +68,10 @@ func evenSplit(t *testing.T, a, b string) *GPU {
 func TestNewValidation(t *testing.T) {
 	cfg := testConfig()
 	pvc := bench(t, "PVC")
+	tooMany := make([]AppSpec, MaxApps+1)
+	for i := range tooMany {
+		tooMany[i] = AppSpec{Bench: pvc, SMs: 1, Groups: []int{0}}
+	}
 	cases := []struct {
 		name  string
 		specs []AppSpec
@@ -75,6 +79,8 @@ func TestNewValidation(t *testing.T) {
 		{"zero SMs", []AppSpec{{Bench: pvc, SMs: 0, Groups: []int{0}}}},
 		{"no groups", []AppSpec{{Bench: pvc, SMs: 4}}},
 		{"too many SMs", []AppSpec{{Bench: pvc, SMs: 81, Groups: []int{0}}}},
+		{"invalid group", []AppSpec{{Bench: pvc, SMs: 4, Groups: []int{0, 8}}}},
+		{"too many apps", tooMany},
 	}
 	for _, c := range cases {
 		if _, err := New(cfg, c.specs, testOptions()); err == nil {

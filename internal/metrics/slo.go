@@ -191,28 +191,10 @@ type SLOReport struct {
 	// checkpoints by crashes.
 	LostWork float64
 
-	// Gray-failure fields (ISSUE 10; zero unless the cluster ran with gray
-	// injection or health scoring).
+	// Gray-failure fields (zero unless the cluster ran with gray injection
+	// or health scoring).
+	GrayStats
 
-	// GrayFaults is the number of injected degradation windows.
-	GrayFaults int
-	// GrayDetected counts windows the health scorer flagged (healthy →
-	// suspect inside the window, plus a short grace); GrayMissed counts
-	// windows it never flagged (false negatives); GrayFalsePositives counts
-	// suspicions with no overlapping window.
-	GrayDetected       int
-	GrayFalsePositives int
-	GrayMissed         int
-	// GrayDetectEpochs is the mean epochs from window start to suspicion
-	// over detected windows (0 when none were detected).
-	GrayDetectEpochs float64
-	// QuarantinedGPUCycles is GPU-cycles spent alive but quarantined or
-	// probing — unavailable to latency-critical work without being down.
-	QuarantinedGPUCycles uint64
-	// GraySavedWork is the alone-cycles of live tenant progress the
-	// proactive quarantine drain preserved beyond the last checkpoint —
-	// exactly what a crash-style response would have rolled back.
-	GraySavedWork float64
 	// LCAvailability is the fraction of GPU-cycles usable by
 	// latency-critical work: alive and not quarantined. At most
 	// Availability, with equality when nothing was ever quarantined —
@@ -245,16 +227,35 @@ type FailoverStats struct {
 	AliveGPUCycles uint64         // sum over GPUs of cycles spent alive
 	LostWork       float64        // alone-cycles rolled back to checkpoints
 
-	// Gray-failure inputs (ISSUE 10); see the SLOReport fields of the same
-	// names. QuarantinedGPUCycles must count only alive quarantined time —
-	// a quarantine interval cut short by a real crash ends at the crash.
-	GrayFaults           int
-	GrayDetected         int
-	GrayFalsePositives   int
-	GrayMissed           int
-	GrayDetectEpochs     float64
+	// Gray-failure inputs, copied into the report as they are.
+	// QuarantinedGPUCycles must count only alive quarantined time — a
+	// quarantine interval cut short by a real crash ends at the crash.
+	GrayStats
+}
+
+// GrayStats is the cluster frontend's gray-failure account: how the health
+// scorer fared against the injected degradation windows, and what its
+// quarantines cost and saved.
+type GrayStats struct {
+	// GrayFaults is the number of injected degradation windows.
+	GrayFaults int
+	// GrayDetected counts windows the health scorer flagged (healthy →
+	// suspect inside the window, plus a short grace); GrayMissed counts
+	// windows it never flagged (false negatives); GrayFalsePositives counts
+	// suspicions with no overlapping window.
+	GrayDetected       int
+	GrayFalsePositives int
+	GrayMissed         int
+	// GrayDetectEpochs is the mean epochs from window start to suspicion
+	// over detected windows (0 when none were detected).
+	GrayDetectEpochs float64
+	// QuarantinedGPUCycles is GPU-cycles spent alive but quarantined or
+	// probing — unavailable to latency-critical work without being down.
 	QuarantinedGPUCycles uint64
-	GraySavedWork        float64
+	// GraySavedWork is the alone-cycles of live tenant progress the
+	// proactive quarantine drain preserved beyond the last checkpoint —
+	// exactly what a crash-style response would have rolled back.
+	GraySavedWork float64
 }
 
 // BuildSLOReport folds job outcomes into a report. horizon is the cycle
@@ -335,13 +336,7 @@ func BuildSLOReport(jobs []JobOutcome, spec SLOSpec, horizon int, failover ...Fa
 func foldFailover(r *SLOReport, fo FailoverStats, horizon int) {
 	r.Crashes = len(fo.Crashes)
 	r.LostWork = fo.LostWork
-	r.GrayFaults = fo.GrayFaults
-	r.GrayDetected = fo.GrayDetected
-	r.GrayFalsePositives = fo.GrayFalsePositives
-	r.GrayMissed = fo.GrayMissed
-	r.GrayDetectEpochs = fo.GrayDetectEpochs
-	r.QuarantinedGPUCycles = fo.QuarantinedGPUCycles
-	r.GraySavedWork = fo.GraySavedWork
+	r.GrayStats = fo.GrayStats
 	if fo.GPUs > 0 && horizon > 0 {
 		av := float64(fo.AliveGPUCycles) / (float64(fo.GPUs) * float64(horizon))
 		if av < 0 {

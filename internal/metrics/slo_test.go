@@ -320,13 +320,15 @@ func TestBuildSLOReportGrayZeroFaults(t *testing.T) {
 // Availability ignores it, LCAvailability excludes it.
 func TestBuildSLOReportGrayQuarantineAlive(t *testing.T) {
 	fo := FailoverStats{
-		GPUs:                 4,
-		AliveGPUCycles:       4 * 10_000,
-		GrayFaults:           1,
-		GrayDetected:         1,
-		GrayDetectEpochs:     2.5,
-		QuarantinedGPUCycles: 6_000, // probed but never recovered: open to horizon
-		GraySavedWork:        321,
+		GPUs:           4,
+		AliveGPUCycles: 4 * 10_000,
+		GrayStats: GrayStats{
+			GrayFaults:           1,
+			GrayDetected:         1,
+			GrayDetectEpochs:     2.5,
+			QuarantinedGPUCycles: 6_000, // probed but never recovered: open to horizon
+			GraySavedWork:        321,
+		},
 	}
 	r := BuildSLOReport(nil, DefaultSLO(), 10_000, fo)
 	if r.Availability != 1 {
@@ -345,12 +347,14 @@ func TestBuildSLOReportGrayQuarantineAlive(t *testing.T) {
 // the crash availability, even with inconsistent inputs.
 func TestBuildSLOReportGrayQuarantineOverlapsCrash(t *testing.T) {
 	fo := FailoverStats{
-		GPUs:                 2,
-		Crashes:              []CrashOutcome{{Cycle: 5_000, GPU: 1, RecoveredAt: -1}},
-		AliveGPUCycles:       10_000 + 5_000,
-		GrayFaults:           1,
-		GrayDetected:         1,
-		QuarantinedGPUCycles: 3_000, // closed at the crash
+		GPUs:           2,
+		Crashes:        []CrashOutcome{{Cycle: 5_000, GPU: 1, RecoveredAt: -1}},
+		AliveGPUCycles: 10_000 + 5_000,
+		GrayStats: GrayStats{
+			GrayFaults:           1,
+			GrayDetected:         1,
+			QuarantinedGPUCycles: 3_000, // closed at the crash
+		},
 	}
 	r := BuildSLOReport(nil, DefaultSLO(), 10_000, fo)
 	if want := 15_000.0 / 20_000.0; r.Availability != want {

@@ -35,9 +35,6 @@ func (x *Crossbar) AppendDigest(h digest.Hash, hashArg func(any) digest.Hash) di
 	for i := range q.overflow {
 		acc.Add(deliveryHash(&q.overflow[i], hashArg))
 	}
-	for i := range q.late {
-		acc.Add(deliveryHash(&q.late[i], hashArg))
-	}
 	st := x.stats
 	return h.Acc(acc).U64(st.Messages).U64(st.Bytes).U64(st.Drops)
 }

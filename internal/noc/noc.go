@@ -10,7 +10,10 @@
 // isolation between GPU slices that use disjoint SMs and LLC slices).
 package noc
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // delivery is one in-flight message. Exactly one of fn (closure callback)
 // or tfn (shared callback plus per-message argument) is set; SendTagged
@@ -102,10 +105,9 @@ type bucket struct{ head, tail int32 }
 // NextArrival jump over empty stretches, such as a fast-forward gap.
 //
 // base only moves forward, to the cycle being delivered or past the last
-// Tick. A message due before base (sent with a send cycle earlier than the
-// last Tick) waits in the late heap; everything in it precedes every
-// bucketed message, and the overflow heap holds only arrivals at or beyond
-// base+calendarSize.
+// Tick, and the overflow heap holds only arrivals at or beyond
+// base+calendarSize. A message due before base could only come from a send
+// stamped earlier than the last Tick, which is a caller bug: push panics.
 type calendar struct {
 	base     uint64
 	buckets  []bucket
@@ -114,7 +116,6 @@ type calendar struct {
 	free     int32    // head of the free-node list
 	n        int      // bucketed messages
 	overflow deliveryHeap
-	late     deliveryHeap
 }
 
 func newCalendar() calendar {
@@ -125,13 +126,13 @@ func newCalendar() calendar {
 	}
 }
 
-func (q *calendar) len() int { return q.n + len(q.overflow) + len(q.late) }
+func (q *calendar) len() int { return q.n + len(q.overflow) }
 
 // push adds one message.
 func (q *calendar) push(d delivery) {
 	switch {
 	case d.at < q.base:
-		q.late.push(d)
+		panic(fmt.Sprintf("noc: message due at cycle %d, but Tick has passed every cycle before %d", d.at, q.base))
 	case d.at-q.base >= calendarSize:
 		q.overflow.push(d)
 	default:
@@ -304,11 +305,6 @@ func (x *Crossbar) Tick(cycle uint64) {
 	for {
 		var d delivery
 		switch {
-		case len(q.late) > 0:
-			if q.late[0].at > cycle {
-				return
-			}
-			d = q.late.pop()
 		case q.n > 0:
 			at := q.first()
 			if at > cycle {
@@ -343,8 +339,6 @@ func (x *Crossbar) Pending() int { return x.pending.len() }
 func (x *Crossbar) NextArrival() (uint64, bool) {
 	q := &x.pending
 	switch {
-	case len(q.late) > 0:
-		return q.late[0].at, true
 	case q.n > 0:
 		return q.first(), true
 	case len(q.overflow) > 0:

@@ -119,3 +119,17 @@ func TestNextArrivalBound(t *testing.T) {
 		t.Fatalf("delivered %v, want one delivery at cycle >= %d", delivered, at)
 	}
 }
+
+// TestSendBeforeLastTickPanics: a message stamped so early that it would
+// arrive before a cycle Tick has already passed is a caller bug, not a
+// delivery to reorder.
+func TestSendBeforeLastTickPanics(t *testing.T) {
+	x := New(2, 2, 32, 0)
+	x.Tick(100)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a send due before the last Tick did not panic")
+		}
+	}()
+	x.Send(10, 0, 0, 32, func(uint64) {}) // due at cycle 12
+}

@@ -57,19 +57,6 @@ func (p Policy) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// ParsePolicy maps a flag value to a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "in-order", "inorder", "fifo":
-		return InOrder, nil
-	case "class-aware", "class":
-		return ClassAware, nil
-	case "load-aware", "load":
-		return LoadAware, nil
-	}
-	return 0, fmt.Errorf("serve: unknown policy %q (want in-order, class-aware, or load-aware)", s)
-}
-
 // Policies lists every admission policy in presentation order.
 func Policies() []Policy { return []Policy{InOrder, ClassAware, LoadAware} }
 
@@ -265,9 +252,6 @@ func (s *Server) GPU() *gpu.GPU { return s.g }
 func (s *Server) Run() (*Report, error) {
 	horizon := uint64(s.cfg.Sim.MaxCycles)
 	epoch := uint64(s.cfg.Sim.EpochCycles)
-	if epoch == 0 || epoch > horizon {
-		epoch = horizon
-	}
 	for s.g.Cycle() < horizon {
 		if err := s.StepEpoch(min(epoch, horizon-s.g.Cycle())); err != nil {
 			return nil, err

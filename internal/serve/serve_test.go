@@ -260,18 +260,6 @@ func TestServeWithFaultsDeterministic(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for _, p := range Policies() {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Error("ParsePolicy accepted bogus")
-	}
-}
-
 func TestSplitGroups(t *testing.T) {
 	got := splitGroups([]int{0, 1, 2, 3, 4, 5, 6, 7}, 3)
 	want := [][]int{{0, 1, 2}, {3, 4, 5}, {6, 7}}

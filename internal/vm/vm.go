@@ -161,27 +161,22 @@ type Manager struct {
 	stats Stats
 }
 
-// NewManager builds a Manager for the given number of applications. Channel
-// groups must be assigned per app with SetGroups before faults occur.
-func NewManager(cfg config.Config, mapper *addr.CustomMapper, numApps int) *Manager {
+// NewManager builds a Manager with no address spaces; AddSpace adds one per
+// application slot. Channel groups must be assigned per app with SetGroups
+// before faults occur.
+func NewManager(cfg config.Config, mapper *addr.CustomMapper) *Manager {
 	ng := cfg.ChannelGroups()
-	m := &Manager{
+	return &Manager{
 		mapper:    mapper,
-		spaces:    make([]*space, numApps),
 		frames:    make([][]frameRec, ng),
 		recycled:  make([][]uint64, ng),
 		deadGroup: make([]bool, ng),
 		perGroupN: make([]int, ng),
 	}
-	for i := range m.spaces {
-		m.spaces[i] = newSpace(i, ng)
-	}
-	return m
 }
 
-// AddSpace appends a fresh empty address space and returns its id. The
-// online serving layer uses it when a tenant attaches to a slot beyond the
-// spaces created at construction.
+// AddSpace appends a fresh empty address space and returns its id. The GPU
+// adds one each time a tenant claims a new application slot.
 func (m *Manager) AddSpace() int {
 	id := len(m.spaces)
 	m.spaces = append(m.spaces, newSpace(id, len(m.frames)))

@@ -15,7 +15,11 @@ func newManager(t *testing.T, apps int) (*Manager, *addr.CustomMapper, config.Co
 	t.Helper()
 	cfg := config.Default()
 	m := addr.NewCustomMapper(cfg)
-	return NewManager(cfg, m, apps), m, cfg
+	mgr := NewManager(cfg, m)
+	for i := 0; i < apps; i++ {
+		mgr.AddSpace()
+	}
+	return mgr, m, cfg
 }
 
 func TestFaultMapsPageInAllowedGroup(t *testing.T) {
@@ -249,11 +253,7 @@ func TestQuickMigrationInvariants(t *testing.T) {
 	// Property: any sequence of (fault, reallocate, migrate, abort)
 	// operations preserves frame-ownership invariants and content tags.
 	f := func(seed int64) bool {
-		mgr, _, _ := func() (*Manager, *addr.CustomMapper, config.Config) {
-			cfg := config.Default()
-			m := addr.NewCustomMapper(cfg)
-			return NewManager(cfg, m, 2), m, cfg
-		}()
+		mgr, _, _ := newManager(t, 2)
 		rng := rand.New(rand.NewSource(seed))
 		held := [2][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
 		mgr.SetGroups(0, held[0])

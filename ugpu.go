@@ -277,10 +277,6 @@ const (
 // ServePolicies lists every admission policy in presentation order.
 func ServePolicies() []ServePolicy { return serve.Policies() }
 
-// ParseServePolicy maps a flag value ("in-order", "class-aware",
-// "load-aware") to a ServePolicy.
-func ParseServePolicy(s string) (ServePolicy, error) { return serve.ParsePolicy(s) }
-
 // ServeConfig parameterises one serve run (simulator config, arrival spec,
 // admission policy, queue capacity, SLO targets).
 type ServeConfig = serve.Config
