@@ -211,14 +211,18 @@ func (m *CustomMapper) Isolating() bool { return true }
 // containing pa, in line order. With the default geometry this is 32 lines:
 // 4 stacks x 4 bank groups x 2 columns.
 func (m *CustomMapper) PageLines(pa uint64) []Location {
+	return m.AppendPageLines(make([]Location, 0, m.pageBytes>>m.line.bits), pa)
+}
+
+// AppendPageLines appends PageLines(pa) to dst and returns the extended
+// slice; callers that reuse dst plan page copies without allocating.
+func (m *CustomMapper) AppendPageLines(dst []Location, pa uint64) []Location {
 	base := pa &^ (m.pageBytes - 1)
 	lineBytes := uint64(1) << m.line.bits
-	n := int(m.pageBytes / lineBytes)
-	locs := make([]Location, n)
-	for i := range locs {
-		locs[i] = m.Decode(base + uint64(i)*lineBytes)
+	for off := uint64(0); off < m.pageBytes; off += lineBytes {
+		dst = append(dst, m.Decode(base+off))
 	}
-	return locs
+	return dst
 }
 
 // InterleavedMapper is a traditional fine-grained interleaving: the global

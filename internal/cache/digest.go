@@ -4,9 +4,9 @@ package cache
 // deterministic); the MSHR's slot table digests as an unordered multiset of
 // its entries (slot positions depend on probe history, not on state), with
 // each entry's waiters folded in their (deterministic) merge order through a
-// caller-supplied waiter hasher — the cache package stores waiters as opaque
-// `any` values and cannot hash them itself. The waiter-slice freelist is
-// pooling state and is excluded.
+// caller-supplied waiter fold — the cache package is generic over the waiter
+// type and cannot hash it itself. The node pool's freelist is pooling state
+// and is excluded.
 
 import "ugpu/internal/digest"
 
@@ -40,6 +40,41 @@ func AppendDigestPair(ha digest.Hash, a *Cache, hb digest.Hash, b *Cache) (diges
 	return a.appendStats(a.appendLines(ha, n)), b.appendStats(b.appendLines(hb, n))
 }
 
+// AppendDigestQuad returns each c[k].AppendDigest(h[k]), folding the four
+// tag arrays in lockstep over their common prefix (four FNV chains keep the
+// multiplier busier than two) and the tails as AppendDigestPair does.
+func AppendDigestQuad(h [4]digest.Hash, c [4]*Cache) [4]digest.Hash {
+	h0, h1, h2, h3 := c[0].appendHeader(h[0]), c[1].appendHeader(h[1]), c[2].appendHeader(h[2]), c[3].appendHeader(h[3])
+	l0, l1, l2, l3 := c[0].lines, c[1].lines, c[2].lines, c[3].lines
+	n := min(len(l0), len(l1), len(l2), len(l3))
+	// The per-line fold written out for each side, as in AppendDigestPair.
+	for i := 0; i < n; i++ {
+		if w := l0[i]; w.stamp != 0 {
+			h0 = h0.Bool(true).U64(w.tag).U64(w.stamp)
+		} else {
+			h0 = h0.Bool(false)
+		}
+		if w := l1[i]; w.stamp != 0 {
+			h1 = h1.Bool(true).U64(w.tag).U64(w.stamp)
+		} else {
+			h1 = h1.Bool(false)
+		}
+		if w := l2[i]; w.stamp != 0 {
+			h2 = h2.Bool(true).U64(w.tag).U64(w.stamp)
+		} else {
+			h2 = h2.Bool(false)
+		}
+		if w := l3[i]; w.stamp != 0 {
+			h3 = h3.Bool(true).U64(w.tag).U64(w.stamp)
+		} else {
+			h3 = h3.Bool(false)
+		}
+	}
+	h0, h1 = c[0].appendLines(h0, n), c[1].appendLines(h1, n)
+	h2, h3 = c[2].appendLines(h2, n), c[3].appendLines(h3, n)
+	return [4]digest.Hash{c[0].appendStats(h0), c[1].appendStats(h1), c[2].appendStats(h2), c[3].appendStats(h3)}
+}
+
 func (c *Cache) appendHeader(h digest.Hash) digest.Hash {
 	return h.Int(c.sets).Int(c.ways).U64(c.clock)
 }
@@ -61,23 +96,30 @@ func (c *Cache) appendStats(h digest.Hash) digest.Hash {
 	return h.U64(st.Accesses).U64(st.Hits).U64(st.Misses).U64(st.Evictions)
 }
 
-// AppendDigest folds the outstanding-miss file. hashWaiter maps one opaque
-// waiter to its content hash (the gpu package supplies per-level hashers for
+// AppendDigest folds the outstanding-miss file. appendWaiter folds one
+// waiter into its entry's hash (the gpu package supplies per-level folds for
 // *sm.Warp and its own request type). The literal 0 stands where a per-line
 // merge limit used to fold, so digests match those of earlier versions.
-func (m *MSHR) AppendDigest(h digest.Hash, hashWaiter func(any) digest.Hash) digest.Hash {
+func (m *MSHR[W]) AppendDigest(h digest.Hash, appendWaiter func(digest.Hash, W) digest.Hash) digest.Hash {
+	return h.Int(m.capacity).Int(0).Acc(m.EntryDigests(appendWaiter))
+}
+
+// EntryDigests returns the multiset of entry hashes: per outstanding line,
+// the line, its waiter count and each waiter in merge order (appendWaiter
+// folds one waiter).
+func (m *MSHR[W]) EntryDigests(appendWaiter func(digest.Hash, W) digest.Hash) digest.Acc {
 	var acc digest.Acc
 	// The fold is a sum over occupied slots, so the scan stops at the last.
 	for i := 0; i < len(m.slots) && acc.Len() < uint64(m.n); i++ {
 		s := &m.slots[i]
-		if s.ws == nil {
+		if s.count == 0 {
 			continue
 		}
-		eh := digest.New().U64(s.line).Int(len(s.ws))
-		for _, w := range s.ws {
-			eh = eh.U64(uint64(hashWaiter(w)))
+		eh := digest.New().U64(s.line).Int(int(s.count))
+		for k := s.head; k >= 0; k = m.node(k).next {
+			eh = appendWaiter(eh, m.node(k).w)
 		}
 		acc.Add(eh)
 	}
-	return h.Int(m.capacity).Int(0).Acc(acc)
+	return acc
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestMSHRMergeAndCapacity(t *testing.T) {
-	m := NewMSHR(2)
+	m := NewMSHR[string](2)
 	alloc, ok := m.Add(1, "a")
 	if !alloc || !ok {
 		t.Fatal("first Add should allocate")
@@ -28,7 +28,7 @@ func TestMSHRMergeAndCapacity(t *testing.T) {
 	if _, ok = m.Add(2, "e"); !ok {
 		t.Fatal("merge rejected while entries available")
 	}
-	ws := m.Remove(1)
+	ws := m.Remove(1, nil)
 	if len(ws) != 2 || ws[0] != "a" || ws[1] != "b" {
 		t.Fatalf("Remove(1) = %v, want [a b]", ws)
 	}
@@ -42,14 +42,14 @@ func TestMSHRMergeAndCapacity(t *testing.T) {
 
 func TestMSHRTableSize(t *testing.T) {
 	for _, c := range []struct{ capacity, slots int }{{1, 2}, {2, 4}, {3, 8}, {64, 128}, {100, 256}, {128, 256}} {
-		if got := len(NewMSHR(c.capacity).slots); got != c.slots {
+		if got := len(NewMSHR[int](c.capacity).slots); got != c.slots {
 			t.Errorf("NewMSHR(%d): %d slots, want %d", c.capacity, got, c.slots)
 		}
 	}
 }
 
 // linesWithHome returns n distinct lines whose home slot in m is want.
-func linesWithHome(m *MSHR, want, n int) []uint64 {
+func linesWithHome[W any](m *MSHR[W], want, n int) []uint64 {
 	var out []uint64
 	for line := uint64(1); len(out) < n; line++ {
 		if m.home(line) == want {
@@ -81,7 +81,7 @@ func (r *mshrRef) add(line uint64, w int) (allocated, ok bool) {
 // checkAgainst compares every observable of m with the reference: Len,
 // Full, the outstanding-line set, each line's waiter order, and that every
 // occupied slot is reachable from its home by probing.
-func checkAgainst(t *testing.T, step int, m *MSHR, ref *mshrRef) {
+func checkAgainst(t *testing.T, step int, m *MSHR[int], ref *mshrRef) {
 	t.Helper()
 	if m.Len() != len(ref.entries) {
 		t.Fatalf("step %d: Len = %d, want %d", step, m.Len(), len(ref.entries))
@@ -92,7 +92,7 @@ func checkAgainst(t *testing.T, step int, m *MSHR, ref *mshrRef) {
 	occupied := 0
 	for i := range m.slots {
 		s := &m.slots[i]
-		if s.ws == nil {
+		if s.count == 0 {
 			continue
 		}
 		occupied++
@@ -103,9 +103,12 @@ func checkAgainst(t *testing.T, step int, m *MSHR, ref *mshrRef) {
 		if !ok {
 			t.Fatalf("step %d: stray line %d in slot %d", step, s.line, i)
 		}
-		got := make([]int, len(s.ws))
-		for k, w := range s.ws {
-			got[k] = w.(int)
+		var got []int
+		for k := s.head; k >= 0; k = m.node(k).next {
+			got = append(got, m.node(k).w)
+		}
+		if len(got) != int(s.count) || m.node(s.tail).next != -1 {
+			t.Fatalf("step %d: line %d holds %d waiters but counts %d", step, s.line, len(got), s.count)
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("step %d: line %d waiters %v, want %v", step, s.line, got, want)
@@ -121,8 +124,8 @@ func checkAgainst(t *testing.T, step int, m *MSHR, ref *mshrRef) {
 	}
 }
 
-// TestMSHRMatchesMapModel drives seeded random Add/Remove/Recycle sequences
-// against the map reference model. The line pool mixes ordinary lines with
+// TestMSHRMatchesMapModel drives seeded random Add/Remove sequences against
+// the map reference model. The line pool mixes ordinary lines with
 // a cluster sharing one home slot (long probe runs) and a cluster homed on
 // the last slot (runs that wrap past the table's end), so backward-shift
 // deletion is exercised across both.
@@ -130,7 +133,7 @@ func TestMSHRMatchesMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		capacity := 1 + rng.Intn(40)
-		m := NewMSHR(capacity)
+		m := NewMSHR[int](capacity)
 		ref := &mshrRef{capacity: capacity, entries: map[uint64][]int{}}
 		last := len(m.slots) - 1
 		pool := linesWithHome(m, rng.Intn(len(m.slots)), capacity)
@@ -151,18 +154,11 @@ func TestMSHRMatchesMapModel(t *testing.T) {
 						seed, step, line, gotAlloc, gotOK, wantAlloc, wantOK)
 				}
 			} else {
-				ws := m.Remove(line)
-				got := make([]int, len(ws))
-				for k, w := range ws {
-					got[k] = w.(int)
-				}
+				got := m.Remove(line, nil)
 				want := ref.entries[line]
 				delete(ref.entries, line)
 				if !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d: Remove(%d) = %v, want %v", seed, step, line, got, want)
-				}
-				if rng.Intn(4) != 0 {
-					m.Recycle(ws)
 				}
 			}
 			checkAgainst(t, step, m, ref)
@@ -174,7 +170,7 @@ func TestMSHRMatchesMapModel(t *testing.T) {
 // last slot and wraps to the front, then removes its members in an order
 // that forces backward shifts across the wrap point.
 func TestMSHRProbeWrapsAndShiftsBack(t *testing.T) {
-	m := NewMSHR(8)
+	m := NewMSHR[int](8)
 	last := len(m.slots) - 1
 	lines := linesWithHome(m, last, 5)
 	for i, line := range lines {
@@ -188,7 +184,7 @@ func TestMSHRProbeWrapsAndShiftsBack(t *testing.T) {
 	}
 	removed := make([]bool, len(lines))
 	for _, i := range []int{0, 2, 4, 1, 3} {
-		ws := m.Remove(lines[i])
+		ws := m.Remove(lines[i], nil)
 		if len(ws) != 1 || ws[0] != i {
 			t.Fatalf("Remove(%d) = %v, want [%d]", lines[i], ws, i)
 		}
@@ -203,7 +199,7 @@ func TestMSHRProbeWrapsAndShiftsBack(t *testing.T) {
 		t.Fatalf("Len = %d after removing every line", m.Len())
 	}
 	for i := range m.slots {
-		if m.slots[i].ws != nil {
+		if m.slots[i].count != 0 {
 			t.Fatalf("slot %d still occupied", i)
 		}
 	}
@@ -212,9 +208,9 @@ func TestMSHRProbeWrapsAndShiftsBack(t *testing.T) {
 // TestMSHRRemoveAbsent: removing a line that is not outstanding returns nil
 // and leaves the table alone.
 func TestMSHRRemoveAbsent(t *testing.T) {
-	m := NewMSHR(4)
+	m := NewMSHR[string](4)
 	m.Add(7, "a")
-	if ws := m.Remove(8); ws != nil {
+	if ws := m.Remove(8, nil); ws != nil {
 		t.Fatalf("Remove of an absent line = %v, want nil", ws)
 	}
 	if m.Len() != 1 || !m.Lookup(7) {
@@ -223,36 +219,70 @@ func TestMSHRRemoveAbsent(t *testing.T) {
 }
 
 // mshrCycle allocates capacity lines (each with a merged second waiter),
-// then completes and recycles them in order: the miss path's steady state.
-func mshrCycle(m *MSHR, base uint64, w any) {
+// then completes them in order into the reused buffer buf: the miss path's
+// steady state.
+func mshrCycle(m *MSHR[*int], base uint64, w *int, buf []*int) []*int {
 	for i := uint64(0); i < uint64(m.capacity); i++ {
 		m.Add(base+i*7, w)
 		m.Add(base+i*7, w)
 	}
 	for i := uint64(0); i < uint64(m.capacity); i++ {
-		m.Recycle(m.Remove(base + i*7))
+		buf = m.Remove(base+i*7, buf[:0])
 	}
+	return buf
 }
 
 func TestMSHRSteadyStateZeroAlloc(t *testing.T) {
-	m := NewMSHR(128)
+	m := NewMSHR[*int](128)
 	w := new(int)
-	mshrCycle(m, 0, w) // warm the waiter freelist
+	buf := mshrCycle(m, 0, w, nil) // warm the node pool and the buffer
 	base := uint64(0)
 	if got := testing.AllocsPerRun(100, func() {
 		base += 1 << 12
-		mshrCycle(m, base, w)
+		buf = mshrCycle(m, base, w, buf)
 	}); got != 0 {
-		t.Errorf("steady-state Add/Remove/Recycle: %.1f allocs per cycle, want 0", got)
+		t.Errorf("steady-state Add/Remove: %.1f allocs per cycle, want 0", got)
 	}
 }
 
-// BenchmarkMSHRAddRemove prices one Add+merge+Remove+Recycle round trip per
-// line on a full-size (Table 1: 128-entry) L1 MSHR.
+// TestWaitTableGrows: the unbounded table never refuses an Add, doubles
+// its slot array to keep the load factor at or below 1/2, and keeps every
+// entry and its waiter order across the rebuilds.
+func TestWaitTableGrows(t *testing.T) {
+	m := NewWaitTable[int]()
+	const lines = 1000
+	for i := 0; i < lines; i++ {
+		for k := 0; k < 1+i%3; k++ {
+			if alloc, ok := m.Add(uint64(i)*0x51, i*10+k); !ok || alloc != (k == 0) {
+				t.Fatalf("Add(line %d, waiter %d) = (%v, %v)", i, k, alloc, ok)
+			}
+		}
+		if m.Full() || 2*m.Len() > len(m.slots) {
+			t.Fatalf("%d entries in %d slots (Full %v)", m.Len(), len(m.slots), m.Full())
+		}
+	}
+	for i := 0; i < lines; i++ {
+		ws := m.Remove(uint64(i)*0x51, nil)
+		if len(ws) != 1+i%3 {
+			t.Fatalf("line %d: %d waiters, want %d", i, len(ws), 1+i%3)
+		}
+		for k, w := range ws {
+			if w != i*10+k {
+				t.Fatalf("line %d: waiters %v out of merge order", i, ws)
+			}
+		}
+	}
+	if m.Len() != 0 || m.AnyLine(func(uint64) bool { return true }) {
+		t.Fatal("table not empty after removing every line")
+	}
+}
+
+// BenchmarkMSHRAddRemove prices one Add+merge+Remove round trip per line on
+// a full-size (Table 1: 128-entry) L1 MSHR.
 func BenchmarkMSHRAddRemove(b *testing.B) {
-	m := NewMSHR(128)
+	m := NewMSHR[*int](128)
 	w := new(int)
-	mshrCycle(m, 0, w)
+	buf := mshrCycle(m, 0, w, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -261,7 +291,7 @@ func BenchmarkMSHRAddRemove(b *testing.B) {
 		m.Add(line, w)
 		if i >= 64 {
 			old := uint64(i-64) * 0x41
-			m.Recycle(m.Remove(old))
+			buf = m.Remove(old, buf[:0])
 		}
 	}
 }
@@ -270,8 +300,8 @@ func BenchmarkMSHRAddRemove(b *testing.B) {
 // but built along different probe histories (insertion order, removals that
 // shifted runs back) digest identically.
 func TestMSHRDigestIndependentOfSlotLayout(t *testing.T) {
-	hashWaiter := func(w any) digest.Hash { return digest.New().Int(w.(int)) }
-	a, b := NewMSHR(8), NewMSHR(8)
+	appendWaiter := func(h digest.Hash, w int) digest.Hash { return h.Int(w) }
+	a, b := NewMSHR[int](8), NewMSHR[int](8)
 	lines := linesWithHome(a, 3, 6)
 	for i, line := range lines {
 		a.Add(line, i)
@@ -280,15 +310,15 @@ func TestMSHRDigestIndependentOfSlotLayout(t *testing.T) {
 	for i := len(lines) - 1; i >= 0; i-- {
 		b.Add(lines[i], i)
 	}
-	b.Recycle(b.Remove(999))
+	b.Remove(999, nil)
 	if a.slots[3].line == b.slots[3].line {
 		t.Fatal("layouts coincide; the test compares nothing")
 	}
-	if ha, hb := a.AppendDigest(digest.New(), hashWaiter), b.AppendDigest(digest.New(), hashWaiter); ha != hb {
+	if ha, hb := a.AppendDigest(digest.New(), appendWaiter), b.AppendDigest(digest.New(), appendWaiter); ha != hb {
 		t.Errorf("same entries digest %x and %x", ha, hb)
 	}
 	a.Add(lines[0], 99)
-	if ha, hb := a.AppendDigest(digest.New(), hashWaiter), b.AppendDigest(digest.New(), hashWaiter); ha == hb {
+	if ha, hb := a.AppendDigest(digest.New(), appendWaiter), b.AppendDigest(digest.New(), appendWaiter); ha == hb {
 		t.Error("an extra waiter left the digest unchanged")
 	}
 }

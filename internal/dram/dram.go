@@ -191,6 +191,7 @@ type HBM struct {
 
 	migs        []*migJob
 	migsDone    []*migJob // scratch
+	freeJobs    []*migJob // retired job records, reused by StartMigrationChecked
 	crossLink   []uint64  // per-stack interposer link availability (UGPU-Ori path)
 	tsvBusy     []int     // per-stack TSV sets borrowed by in-flight MIGRATIONs
 	activeMigPP int       // MIGRATION commands in flight (all stacks)

@@ -72,8 +72,9 @@ type migJob struct {
 	inflight  int
 	failed    bool // a line exhausted its NACK retries; stop issuing
 	writes    []deferredWrite
-	done      func(cycle uint64)
-	fail      func(cycle uint64)
+	tag       int32 // the caller's, passed back to done or fail
+	done      func(cycle uint64, tag int32)
+	fail      func(cycle uint64, tag int32)
 
 	// wakeAt (PPMM, derived, not digested) is the first cycle at which
 	// tickPPMM can change the job: the earliest of its busy lines' endAt and
@@ -101,34 +102,53 @@ func (j *migJob) anyBusy() bool {
 // a line exhausts its retries, done is invoked anyway (legacy behaviour).
 // Callers that must distinguish failed copies use StartMigrationChecked.
 func (h *HBM) StartMigration(cycle uint64, src, dst []addr.Location, mode MigrationMode, appID int, done func(uint64)) error {
-	return h.StartMigrationChecked(cycle, src, dst, mode, appID, done, nil)
+	var cb func(uint64, int32)
+	if done != nil {
+		cb = func(c uint64, _ int32) { done(c) }
+	}
+	return h.StartMigrationChecked(cycle, src, dst, mode, appID, 0, cb, nil)
 }
 
-// StartMigrationChecked is StartMigration with an explicit failure callback:
-// if any line's MIGRATION command is NACKed more than maxLineRetries times
-// (fault injection), the job stops, waits for its busy lines to drain, and
-// invokes fail instead of done. Exactly one of done/fail fires, exactly once.
-// A nil fail falls back to done on failure.
-func (h *HBM) StartMigrationChecked(cycle uint64, src, dst []addr.Location, mode MigrationMode, appID int, done, fail func(uint64)) error {
+// StartMigrationChecked is StartMigration with an explicit failure callback
+// and a caller tag passed back to either callback: if any line's MIGRATION
+// command is NACKed more than maxLineRetries times (fault injection), the
+// job stops, waits for its busy lines to drain, and invokes fail instead of
+// done. Exactly one of done/fail fires, exactly once. A nil fail falls back
+// to done on failure. The line locations are copied; callers may reuse
+// src and dst, and retired job records are reused, so long-lived callbacks
+// make the call allocation-free.
+func (h *HBM) StartMigrationChecked(cycle uint64, src, dst []addr.Location, mode MigrationMode, appID int, tag int32, done, fail func(uint64, int32)) error {
 	if len(src) != len(dst) {
 		return fmt.Errorf("dram: migration src/dst length mismatch: %d vs %d", len(src), len(dst))
 	}
 	if len(src) == 0 {
 		return errors.New("dram: empty migration")
 	}
-	job := &migJob{
-		lines:     make([]migLine, len(src)),
-		mode:      mode,
-		appID:     appID,
-		remaining: len(src),
-		done:      done,
-		fail:      fail,
-	}
 	for i := range src {
 		if mode != ModeCrossStack && src[i].Stack != dst[i].Stack {
 			return fmt.Errorf("dram: %v -> %v crosses stacks; only ModeCrossStack may", src[i], dst[i])
 		}
-		job.lines[i] = migLine{src: src[i], dst: dst[i], state: lineStatePending}
+	}
+	var job *migJob
+	if n := len(h.freeJobs); n > 0 {
+		job = h.freeJobs[n-1]
+		h.freeJobs[n-1] = nil
+		h.freeJobs = h.freeJobs[:n-1]
+	} else {
+		job = new(migJob)
+	}
+	*job = migJob{
+		lines:     job.lines[:0],
+		writes:    job.writes[:0],
+		mode:      mode,
+		appID:     appID,
+		remaining: len(src),
+		tag:       tag,
+		done:      done,
+		fail:      fail,
+	}
+	for i := range src {
+		job.lines = append(job.lines, migLine{src: src[i], dst: dst[i], state: lineStatePending})
 	}
 	h.migs = append(h.migs, job)
 	_ = cycle
@@ -164,10 +184,13 @@ func (h *HBM) tickMigrations(cycle uint64) {
 		h.migs = live
 		for _, job := range h.migsDone {
 			if job.failed && job.fail != nil {
-				job.fail(cycle)
+				job.fail(cycle, job.tag)
 			} else if job.done != nil {
-				job.done(cycle)
+				job.done(cycle, job.tag)
 			}
+			// Retire the record, keeping its line and write buffers.
+			*job = migJob{lines: job.lines[:0], writes: job.writes[:0]}
+			h.freeJobs = append(h.freeJobs, job)
 		}
 	}
 }

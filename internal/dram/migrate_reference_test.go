@@ -49,9 +49,9 @@ func refTickMigrations(h *HBM, cycle uint64) {
 		h.migs = live
 		for _, job := range h.migsDone {
 			if job.failed && job.fail != nil {
-				job.fail(cycle)
+				job.fail(cycle, job.tag)
 			} else if job.done != nil {
-				job.done(cycle)
+				job.done(cycle, job.tag)
 			}
 		}
 	}
@@ -189,8 +189,8 @@ func TestPPMMWakeMatchesPollingReference(t *testing.T) {
 				id := len(*out)
 				*out = append(*out, migOutcome{})
 				err := h.StartMigrationChecked(cycle, src, dst, ModePPMM, app,
-					func(c uint64) { (*out)[id].doneAt = c },
-					func(c uint64) { (*out)[id].failAt = c })
+					0, func(c uint64, _ int32) { (*out)[id].doneAt = c },
+					func(c uint64, _ int32) { (*out)[id].failAt = c })
 				if err != nil {
 					t.Fatal(err)
 				}

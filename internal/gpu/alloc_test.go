@@ -46,11 +46,12 @@ func TestSteadyStateZeroAllocTracerEnabled(t *testing.T) {
 // boundaries: EndEpoch reuses its deltas/stats buffers, so a run step plus
 // an epoch snapshot must stay allocation-free too.
 //
-// The interleaved run span is kept short on purpose. Even after warm-up the
-// tick path still allocates roughly twice per hundred cycles as freelists and
-// per-bank queues hit new high-water marks (a pre-existing, slowly decaying
-// amortized cost the steady-state tests above absorb the same way). With a
-// 5-cycle span those background allocations stay far below one per run, so
+// The interleaved run span is kept short on purpose. After a 20k-cycle
+// warm-up the tick path still allocates about three times per thousand
+// cycles, as DRAM bank queues, replay queues and wheel buckets hit new
+// high-water marks (a slowly decaying amortized cost, gone by 60k cycles,
+// that the steady-state tests above absorb the same way). With a 5-cycle
+// span those background allocations stay far below one per run, so
 // AllocsPerRun's integer division floors them to zero, while a real EndEpoch
 // regression — re-allocating its deltas or stats slice — costs at least one
 // allocation per call and reads as >= 1.0.
@@ -87,5 +88,70 @@ func TestCheckInvariantsZeroAlloc(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("CheckInvariants: %.1f allocs per call, want 0", got)
+	}
+}
+
+// TestReallocationZeroAlloc extends the contract across reallocation. After
+// a warm-up that has moved SMs both ways and started page migrations
+// (SetGroups), a span of steps that moves SMs again and commits page
+// migrations allocates nothing: the SM handoff is a long-lived callback, a
+// reassigned SM reuses the warps its last tenant left (orphans once their
+// loads land), and a migration reuses its plan buffers, its slot, the HBM's
+// job record, and typed wheel events instead of closures. The 100-step span
+// leaves AllocsPerRun's integer floor no room for a per-SM or per-page
+// allocation.
+func TestReallocationZeroAlloc(t *testing.T) {
+	g := pairGPU(t, nil)
+	move := func(from, to, n int) {
+		t.Helper()
+		if err := g.MoveSMs(g.Cycle(), from, to, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Run(20_000)
+	move(0, 1, 4)
+	g.Run(20_000)
+	move(1, 0, 4)
+	g.Run(20_000)
+	// App 1 cedes group 4 to app 0, whose pages start moving onto it.
+	if err := g.SetGroups(g.Cycle(), 1, []int{5, 6, 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetGroups(g.Cycle(), 0, []int{0, 1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	g.Run(20_000)
+	sms := len(g.Apps()[1].SMs)
+	migs := g.VM().Stats().Migrations
+	step := 0
+	if got := testing.AllocsPerRun(100, func() {
+		if step++; step == 2 { // the first measured step
+			move(0, 1, 4)
+		}
+		g.Run(100)
+	}); got != 0 {
+		t.Errorf("reallocation: %.1f allocs per step, want 0", got)
+	}
+	if n := len(g.Apps()[1].SMs) - sms; n != 4 {
+		t.Errorf("%d of 4 moved SMs reached their new tenant in the span", n)
+	}
+	if g.VM().Stats().Migrations == migs {
+		t.Error("no page migration committed in the span")
+	}
+}
+
+// TestFreeSMsAllocatesOnce: on an idle 80-SM GPU FreeSMs lists every SM
+// with one allocation, the result sized up front.
+func TestFreeSMsAllocatesOnce(t *testing.T) {
+	g, err := New(testConfig(), nil, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if got := testing.AllocsPerRun(100, func() { n = len(g.FreeSMs()) }); got != 1 {
+		t.Errorf("FreeSMs: %.1f allocs per call, want 1", got)
+	}
+	if n != testConfig().NumSMs {
+		t.Errorf("FreeSMs listed %d SMs, want %d", n, testConfig().NumSMs)
 	}
 }

@@ -47,7 +47,7 @@ const seedTagMix = 0x7F4A7C15
 // FreeSMs lists SMs available for granting: idle (unowned, not draining
 // toward anyone) and not hard-failed, in ascending id order.
 func (g *GPU) FreeSMs() []int {
-	var out []int
+	out := make([]int, 0, len(g.sms))
 	for i, s := range g.sms {
 		if s.State() == smpkg.Idle && !g.failedSMs[i] {
 			out = append(out, i)
@@ -194,17 +194,15 @@ func (g *GPU) refsApp(id int) bool {
 			return true
 		}
 	}
-	for key := range g.transPending {
-		if tlb.AppOf(key) == id {
-			return true
-		}
+	if g.transPending.AnyLine(func(key uint64) bool { return tlb.AppOf(key) == id }) {
+		return true
 	}
 	for key := range g.migInFlight {
 		if tlb.AppOf(key) == id {
 			return true
 		}
 	}
-	for _, job := range g.migQueue {
+	for _, job := range g.migQueue.pending() {
 		if job.app == id {
 			return true
 		}

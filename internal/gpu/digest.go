@@ -8,7 +8,8 @@ package gpu
 // state divergence, and the component naming localizes it.
 //
 // Excluded (non-semantic or mode-dependent observation state):
-//   - object pools and scratch (freeReqs, freeDramReqs, freeWaiters,
+//   - object pools and scratch (freeReqs, freeDramReqs, the request slabs,
+//     the waiter and copy-plan buffers, migSlots' slot positions,
 //     epochDeltas/epochOut, the wheel's spare pool),
 //   - the fast-forward engine's bookkeeping (activeSM, smInSet, smParked,
 //     smParkedAt, switchingInSet, pendingWakes, ffStats, sprintFrom,
@@ -28,18 +29,29 @@ import (
 	"ugpu/internal/sm"
 )
 
+func hashMemReq(r *memReq) digest.Hash {
+	return digest.New().Int(r.app).Int(r.sm).Int(r.slice).U64(r.pa).U64(r.vpn)
+}
+
+// hashMemReqArg hashes a NoC message's *memReq payload.
+func hashMemReqArg(a any) digest.Hash { return hashMemReq(a.(*memReq)) }
+
+// appendMemReq folds an LLC MSHR waiter.
+func appendMemReq(h digest.Hash, r *memReq) digest.Hash { return h.U64(uint64(hashMemReq(r))) }
+
+// appendTransWaiter folds a merged-translation waiter.
+func appendTransWaiter(h digest.Hash, w migWaiter) digest.Hash {
+	return h.Int(int(w.sm)).U64(w.va).Int(int(w.app)).Bool(w.w != nil)
+}
+
 // ensureDigestSupport builds the cached labels and waiter hashers on first
 // use so steady-state digesting allocates nothing.
 func (g *GPU) ensureDigestSupport() {
-	if g.hashWarpFn != nil {
+	if g.appendWarpFn != nil {
 		return
 	}
-	g.hashWarpFn = func(a any) digest.Hash {
-		return a.(*sm.Warp).StandaloneDigest(g.digestGen)
-	}
-	g.hashMemReqFn = func(a any) digest.Hash {
-		r := a.(*memReq)
-		return digest.New().Int(r.app).Int(r.sm).Int(r.slice).U64(r.pa).U64(r.vpn)
+	g.appendWarpFn = func(h digest.Hash, w *sm.Warp) digest.Hash {
+		return h.U64(uint64(w.StandaloneDigest(g.digestGen)))
 	}
 	g.digestSMNames = make([]string, len(g.sms))
 	for i := range g.digestSMNames {
@@ -51,7 +63,14 @@ func (g *GPU) ensureDigestSupport() {
 	}
 }
 
+// hashWheelEvent folds one pending event. The driver kinds fold as the
+// closures they replaced did, by deadline and presence only, so digests
+// match those of earlier versions.
 func hashWheelEvent(ev *wheelEvent) digest.Hash {
+	if ev.kind >= evMigQueue {
+		return digest.New().U64(ev.at).Int(int(evFn)).Int(0).Int(0).U64(0).U64(0).
+			Bool(false).Bool(true)
+	}
 	return digest.New().U64(ev.at).Int(int(ev.kind)).Int(int(ev.app)).
 		Int(int(ev.idx)).U64(ev.vpn).U64(ev.pa).
 		Bool(ev.w != nil).Bool(ev.fn != nil)
@@ -122,11 +141,19 @@ func (g *GPU) DigestComponents(rec *digest.Recorder) {
 	rec.Add("l2tlb", g.l2tlb.AppendDigest(digest.New()))
 	rec.Add("walker", g.walker.AppendDigest(digest.New()))
 
-	h = g.reqNet.AppendDigest(digest.New(), g.hashMemReqFn)
-	h = g.rspNet.AppendDigest(h, g.hashMemReqFn)
+	h = g.reqNet.AppendDigest(digest.New(), hashMemReqArg)
+	h = g.rspNet.AppendDigest(h, hashMemReqArg)
 	rec.Add("noc", h)
 
-	for i = 0; i+1 < len(g.slices); i += 2 {
+	for i = 0; i+3 < len(g.slices); i += 4 {
+		sl := [4]*llcSlice{g.slices[i], g.slices[i+1], g.slices[i+2], g.slices[i+3]}
+		h := cache.AppendDigestQuad([4]digest.Hash{digest.New(), digest.New(), digest.New(), digest.New()},
+			[4]*cache.Cache{sl[0].cache, sl[1].cache, sl[2].cache, sl[3].cache})
+		for k := range sl {
+			rec.Add(g.digestSliceNames[i+k], g.appendSliceQueues(h[k], sl[k]))
+		}
+	}
+	for ; i+1 < len(g.slices); i += 2 {
 		a, b := g.slices[i], g.slices[i+1]
 		h0, h1 := cache.AppendDigestPair(digest.New(), a.cache, digest.New(), b.cache)
 		rec.Add(g.digestSliceNames[i], g.appendSliceQueues(h0, a))
@@ -164,23 +191,15 @@ func (g *GPU) DigestComponents(rec *digest.Recorder) {
 	}
 	rec.Add("apps", h)
 
-	var trans digest.Acc
-	for key, ws := range g.transPending {
-		eh := digest.New().U64(key).Int(len(ws))
-		for _, w := range ws {
-			eh = eh.Int(w.sm).U64(w.va).Int(w.app).Bool(w.w != nil)
-		}
-		trans.Add(eh)
-	}
-	rec.Add("trans", digest.New().Acc(trans))
+	rec.Add("trans", digest.New().Acc(g.transPending.EntryDigests(appendTransWaiter)))
 
 	h = digest.New().Int(g.migActive).Int(g.reconfigSMs)
 	var migs digest.Acc
 	for k, v := range g.migInFlight {
 		migs.Add(digest.New().U64(k).Bool(v))
 	}
-	h = h.Acc(migs).Int(len(g.migQueue))
-	for _, j := range g.migQueue {
+	h = h.Acc(migs).Int(g.migQueue.len())
+	for _, j := range g.migQueue.pending() {
 		h = h.Int(j.app).U64(j.vpn).Int(int(j.attempts))
 	}
 	var moves digest.Acc
@@ -220,13 +239,18 @@ func (g *GPU) digestSMPair(i, j int) (digest.Hash, digest.Hash) {
 	return appendReplayPair(hi, g.replayQ[i].pending(), hj, g.replayQ[j].pending())
 }
 
-// digestSMQuad returns g.digestSM of each of the four SMs: two pairs whose
-// replay queues fold in lockstep, four chains wide over their common prefix.
+// digestSMQuad returns g.digestSM of each of the four SMs: two SM pairs, the
+// four L1 tag arrays and the replay queues folding in lockstep, four chains
+// wide over their common prefix.
 func (g *GPU) digestSMQuad(ids [4]int) [4]digest.Hash {
 	var h [4]digest.Hash
 	var q [4][]replayReq
 	for k := 0; k < 4; k += 2 {
-		h[k], h[k+1] = g.digestSMPairHead(ids[k], ids[k+1])
+		h[k], h[k+1] = sm.AppendDigestPair(digest.New(), g.sms[ids[k]], digest.New(), g.sms[ids[k+1]])
+	}
+	h = cache.AppendDigestQuad(h, [4]*cache.Cache{g.smL1[ids[0]], g.smL1[ids[1]], g.smL1[ids[2]], g.smL1[ids[3]]})
+	for k, id := range ids {
+		h[k] = g.appendSMMiss(h[k], id)
 	}
 	for k, id := range ids {
 		q[k] = g.replayQ[id].pending()
@@ -251,7 +275,7 @@ func (g *GPU) digestSMPairHead(i, j int) (digest.Hash, digest.Hash) {
 // appendSMMiss folds SM i's L1 MSHR, L1 TLB, epoch baseline and replay
 // queue length.
 func (g *GPU) appendSMMiss(h digest.Hash, i int) digest.Hash {
-	h = g.smMSHR[i].AppendDigest(h, g.hashWarpFn)
+	h = g.smMSHR[i].AppendDigest(h, g.appendWarpFn)
 	h = g.smL1TLB[i].AppendDigest(h)
 	return h.U64(g.smBase[i]).Int(g.replayQ[i].len())
 }
@@ -288,10 +312,10 @@ func appendReplayPair(ha digest.Hash, qa []replayReq, hb digest.Hash, qb []repla
 // appendSliceQueues folds an LLC slice's MSHR, parked requests and DRAM
 // spill queue.
 func (g *GPU) appendSliceQueues(h digest.Hash, sl *llcSlice) digest.Hash {
-	h = sl.mshr.AppendDigest(h, g.hashMemReqFn)
+	h = sl.mshr.AppendDigest(h, appendMemReq)
 	h = h.Int(len(sl.parked))
 	for _, r := range sl.parked {
-		h = h.U64(uint64(g.hashMemReqFn(r)))
+		h = appendMemReq(h, r)
 	}
 	h = h.Int(len(sl.toDram))
 	for _, r := range sl.toDram {

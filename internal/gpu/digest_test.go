@@ -146,8 +146,8 @@ func TestPerturbConfinedToComponent(t *testing.T) {
 func refSMDigest(g *GPU, i int) digest.Hash {
 	h := g.sms[i].AppendDigest(digest.New())
 	h = g.smL1[i].AppendDigest(h)
-	h = g.smMSHR[i].AppendDigest(h, func(a any) digest.Hash {
-		return a.(*sm.Warp).AppendDigest(digest.New())
+	h = g.smMSHR[i].AppendDigest(h, func(h digest.Hash, w *sm.Warp) digest.Hash {
+		return h.U64(uint64(w.AppendDigest(digest.New())))
 	})
 	h = g.smL1TLB[i].AppendDigest(h)
 	q := g.replayQ[i].pending()

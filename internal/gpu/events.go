@@ -5,31 +5,37 @@ package gpu
 // page-fault delay); later events spill into an overflow slice that is
 // scanned only when its earliest deadline is due.
 //
-// Events are typed, not closures: the hottest callbacks (a warp's load
-// completing, a DRAM fill arriving at an LLC slice, an L2 TLB lookup) carry
-// their few words of context inside the wheelEvent value, so scheduling them
-// does not allocate. Rare events (driver delays, epoch hooks) still use the
-// generic evFn kind with a closure. Fired bucket arrays are recycled through
-// a small spare pool, so steady-state wheel operation stays allocation-free.
+// Events are typed, not closures: the hot callbacks (a warp's load
+// completing, a DRAM fill arriving at an LLC slice, an L2 TLB lookup) and the
+// driver's page-migration steps carry their few words of context inside the
+// wheelEvent value, so scheduling them does not allocate. Only test hooks
+// still use the generic evFn kind with a closure. Fired bucket arrays are
+// recycled through a small spare pool, so steady-state wheel operation stays
+// allocation-free.
 
 import "ugpu/internal/sm"
 
 const wheelSize = 1 << 15 // must be a power of two
 
-// Event kinds. evFn is the generic closure fallback; the others are the
-// allocation-free hot paths.
+// Event kinds. evFn is the generic closure fallback; the others are
+// allocation-free. The driver kinds from evMigQueue on replaced closures and
+// digest as those did (hashWheelEvent).
 const (
 	evFn          uint8 = iota // run fn(cycle)
 	evWarpDone                 // w.LoadDone()
 	evDramFill                 // g.dramFill(cycle, idx, pa)
 	evL2Translate              // g.l2Translate(cycle, app, vpn)
+	evMigQueue                 // queue a fault-driven migration of (app, vpn)
+	evMigRetry                 // g.retryMigration(cycle, app, vpn, idx)
+	evSpillRemap               // remap (app, vpn) by the slow path
+	evDemandFault              // map (app, vpn) and resolve its translation
 )
 
 type wheelEvent struct {
 	at   uint64
 	kind uint8
 	app  int32
-	idx  int32 // LLC slice index (evDramFill)
+	idx  int32 // LLC slice index (evDramFill), attempts (evMigRetry)
 	vpn  uint64
 	pa   uint64
 	w    *sm.Warp
@@ -70,6 +76,17 @@ func (w *wheel) fire(ev *wheelEvent, cycle uint64) {
 		w.g.dramFill(cycle, int(ev.idx), ev.pa)
 	case evL2Translate:
 		w.g.l2Translate(cycle, int(ev.app), ev.vpn)
+	case evMigQueue:
+		w.g.migQueue.push(migJobReq{app: int(ev.app), vpn: ev.vpn})
+		w.g.startQueuedMigrations(cycle)
+	case evMigRetry:
+		w.g.retryMigration(cycle, int(ev.app), ev.vpn, uint8(ev.idx))
+	case evSpillRemap:
+		w.g.vmm.RemapPage(int(ev.app), ev.vpn)
+		w.g.completeMigration(cycle, int(ev.app), ev.vpn)
+	case evDemandFault:
+		pa := w.g.vmm.HandleFault(int(ev.app), ev.vpn)
+		w.g.resolveTranslation(cycle, int(ev.app), ev.vpn, pa, true)
 	}
 }
 

@@ -114,7 +114,7 @@ func (g *GPU) nextActivity() uint64 {
 	// Gates: machine states whose per-cycle work is not provably inert.
 	// Data-migration state also accrues dataMigCycles every cycle, so gating
 	// on it keeps skipTo's counter reconciliation trivial.
-	if g.migActive > 0 || len(g.migQueue) > 0 || g.hbm.PendingMigrations() > 0 {
+	if g.migActive > 0 || g.migQueue.len() > 0 || g.hbm.PendingMigrations() > 0 {
 		return c
 	}
 	// The LLC->DRAM spill queue drains in retrySlices. (Requests parked on

@@ -188,7 +188,7 @@ func (g *GPU) failGroup(cycle uint64, grp int) {
 			g.migInFlight[k] = true
 			g.faultStats.EmergencyMigrations++
 			g.tr.Emit(trace.KMigEvacuate, cycle, int32(app.ID), int32(grp), int64(vpn), 0, 0)
-			g.migQueue = append(g.migQueue, migJobReq{app: app.ID, vpn: vpn})
+			g.migQueue.push(migJobReq{app: app.ID, vpn: vpn})
 		}
 	}
 	g.startQueuedMigrations(cycle)

@@ -150,7 +150,7 @@ type memReq struct {
 // llcSlice is one LLC slice with its MSHR and retry queues.
 type llcSlice struct {
 	cache  *cache.Cache
-	mshr   *cache.MSHR
+	mshr   *cache.MSHR[*memReq]
 	parked []*memReq       // waiting for an MSHR entry
 	toDram []*dram.Request // waiting for DRAM queue space
 }
@@ -201,7 +201,7 @@ type GPU struct {
 
 	sms     []*sm.SM
 	smL1    []*cache.Cache
-	smMSHR  []*cache.MSHR
+	smMSHR  []*cache.MSHR[*sm.Warp]
 	smL1TLB []*tlb.TLB
 	smBase  []uint64 // per-SM instruction baseline for epoch attribution
 
@@ -221,8 +221,9 @@ type GPU struct {
 	epochStart uint64
 	wheel      wheel
 
-	// Merged in-flight translations: key -> accesses awaiting the result.
-	transPending map[uint64][]migWaiter
+	// Merged in-flight translations: key -> accesses awaiting the result,
+	// in an unbounded MSHR-style table.
+	transPending *cache.MSHR[migWaiter]
 	replayQ      []replayFIFO // per SM: accesses parked on a full L1 MSHR
 
 	// memInFlight counts per-app memReqs between sendToLLC and l1Fill; the
@@ -230,17 +231,28 @@ type GPU struct {
 	// departing tenant's pages are freed.
 	memInFlight [MaxApps]int
 
-	// Object pools and persistent callbacks for the allocation-free memory
-	// path: memReqs and dram.Requests are recycled, and the NoC/DRAM
-	// callbacks are allocated once here instead of per message.
+	// Object pools, scratch and persistent callbacks for the allocation-free
+	// memory path: memReqs and dram.Requests are recycled (fresh ones are
+	// carved from chunks), waiters leave the MSHRs and the translation table
+	// through reused buffers, and the NoC/DRAM/migration/SM-move callbacks
+	// are allocated once here instead of per message.
 	freeReqs     []*memReq
 	freeDramReqs []*dram.Request
-	freeWaiters  [][]migWaiter // recycled transPending waiter slices
+	reqSlab      slab[memReq]
+	dramReqSlab  slab[dram.Request]
+	warpBuf      []*sm.Warp      // l1Fill's waiters
+	reqBuf       []*memReq       // dramFill's waiters
+	transBuf     []migWaiter     // resolveTranslation's waiters
+	migSrc       []addr.Location // a migration's copy plan
+	migDst       []addr.Location
 	onLLCArrive  func(at uint64, arg any)
 	onSMReply    func(at uint64, arg any)
 	dramDone     func(finish uint64, r *dram.Request)
 	ctxDone      func(finish uint64, r *dram.Request)
 	onWalkDone   func(cycle uint64, key uint64)
+	onMigDone    func(cycle uint64, slot int32)
+	onMigFail    func(cycle uint64, slot int32)
+	onSMHandoff  func(cycle uint64, s *sm.SM)
 
 	// parkedTotal/toDramTotal count requests parked across all LLC slices
 	// (on a full MSHR / on a full HBM queue). spilled has bit c set iff a
@@ -250,9 +262,11 @@ type GPU struct {
 	toDramTotal int
 	spilled     []uint64
 
-	// Migration orchestration.
+	// Migration orchestration. migSlots holds the active copy jobs; the
+	// HBM hands a job's slot index back to onMigDone/onMigFail.
 	migInFlight map[uint64]bool
-	migQueue    []migJobReq
+	migQueue    fifo[migJobReq]
+	migSlots    [maxConcurrentMigrations]migSlot
 	migActive   int
 	reconfigSMs int
 
@@ -312,8 +326,7 @@ type GPU struct {
 	// after the first call.
 	digestSMNames    []string
 	digestSliceNames []string
-	hashWarpFn       func(any) digest.Hash
-	hashMemReqFn     func(any) digest.Hash
+	appendWarpFn     func(digest.Hash, *sm.Warp) digest.Hash
 	digestGen        uint64 // snapshot number, keys the per-warp hash memo
 
 	// transVersion invalidates per-warp translation filters on any page
@@ -352,11 +365,12 @@ type FaultTotals struct {
 	SpillRemaps         uint64 // jobs spilled to the slow-path driver remap
 }
 
+// migWaiter is one access merged onto an in-flight translation.
 type migWaiter struct {
-	sm  int
-	va  uint64
 	w   *sm.Warp
-	app int
+	va  uint64
+	sm  int32
+	app int32
 }
 
 // replayReq is a post-translation access parked on a full L1 MSHR.
@@ -367,23 +381,27 @@ type replayReq struct {
 	w   *sm.Warp
 }
 
-// replayFIFO is one SM's queue of replayReqs. A pop advances head and clears
-// the popped slot, so no dead entry pins a warp. The dead prefix is reclaimed
-// only when a push finds the buffer full: if at least half of it is dead the
-// live tail is copied down (paid for by the pops that killed the prefix);
-// otherwise the live tail moves to a new buffer of twice its length. A pop
-// never shifts the tail, and cap never exceeds twice the peak queue length.
-type replayFIFO struct {
-	buf  []replayReq
+// fifo is a queue (one SM's replayReqs, the driver's migration requests).
+// A pop advances head and clears the popped slot, so no dead entry pins a
+// warp. The dead prefix is reclaimed only when a push finds the buffer full:
+// if at least half of it is dead the live tail is copied down (paid for by
+// the pops that killed the prefix); otherwise the live tail moves to a new
+// buffer of twice its length. A pop never shifts the tail, and cap never
+// exceeds twice the peak queue length.
+type fifo[T any] struct {
+	buf  []T
 	head int
 }
 
-func (q *replayFIFO) len() int { return len(q.buf) - q.head }
+// replayFIFO is one SM's queue of accesses parked on a full L1 MSHR.
+type replayFIFO = fifo[replayReq]
 
-// pending returns the queued requests, oldest first.
-func (q *replayFIFO) pending() []replayReq { return q.buf[q.head:] }
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
 
-func (q *replayFIFO) push(r replayReq) {
+// pending returns the queued entries, oldest first.
+func (q *fifo[T]) pending() []T { return q.buf[q.head:] }
+
+func (q *fifo[T]) push(r T) {
 	if len(q.buf) == cap(q.buf) {
 		n := q.len()
 		if q.head > 0 && q.head >= n {
@@ -391,7 +409,7 @@ func (q *replayFIFO) push(r replayReq) {
 			clear(q.buf[n:])
 			q.buf = q.buf[:n]
 		} else {
-			buf := make([]replayReq, n, 2*max(n, 1))
+			buf := make([]T, n, 2*max(n, 1))
 			copy(buf, q.pending())
 			q.buf = buf
 		}
@@ -400,10 +418,23 @@ func (q *replayFIFO) push(r replayReq) {
 	q.buf = append(q.buf, r)
 }
 
-// pop removes and returns the oldest request; the queue must be non-empty.
-func (q *replayFIFO) pop() replayReq {
+// pushFront queues r ahead of every pending entry.
+func (q *fifo[T]) pushFront(r T) {
+	if q.head == 0 {
+		var zero T
+		q.push(zero) // make room at the tail, then shift everything up one
+		copy(q.buf[q.head+1:], q.buf[q.head:len(q.buf)-1])
+	} else {
+		q.head--
+	}
+	q.buf[q.head] = r
+}
+
+// pop removes and returns the oldest entry; the queue must be non-empty.
+func (q *fifo[T]) pop() T {
+	var zero T
 	r := q.buf[q.head]
-	q.buf[q.head] = replayReq{}
+	q.buf[q.head] = zero
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf, q.head = q.buf[:0], 0
@@ -411,10 +442,33 @@ func (q *replayFIFO) pop() replayReq {
 	return r
 }
 
-// reset empties the queue, dropping its warp references; the buffer is kept.
-func (q *replayFIFO) reset() {
+// reset empties the queue, dropping its references; the buffer is kept.
+func (q *fifo[T]) reset() {
 	clear(q.pending())
 	q.buf, q.head = q.buf[:0], 0
+}
+
+// slab hands out zeroed objects carved from chunks of slabChunk, so a pool
+// that misses its freelist allocates once per chunk, not once per object.
+type slab[T any] struct{ chunk []T }
+
+const slabChunk = 64
+
+func (s *slab[T]) get() *T {
+	if len(s.chunk) == 0 {
+		s.chunk = make([]T, slabChunk)
+	}
+	p := &s.chunk[0]
+	s.chunk = s.chunk[1:]
+	return p
+}
+
+// migSlot is one active page-migration job: the plan its copy commits or
+// aborts and the hardware-copy attempts already failed.
+type migSlot struct {
+	mig      vm.Migration
+	attempts uint8
+	busy     bool
 }
 
 // migJobReq is a queued page-migration request at the driver. attempts
@@ -454,7 +508,7 @@ func New(cfg config.Config, specs []AppSpec, opt Options) (*GPU, error) {
 		tr:            opt.Trace,
 		sms:           make([]*sm.SM, cfg.NumSMs),
 		smL1:          make([]*cache.Cache, cfg.NumSMs),
-		smMSHR:        make([]*cache.MSHR, cfg.NumSMs),
+		smMSHR:        make([]*cache.MSHR[*sm.Warp], cfg.NumSMs),
 		smL1TLB:       make([]*tlb.TLB, cfg.NumSMs),
 		smBase:        make([]uint64, cfg.NumSMs),
 		l2tlb:         tlb.New(cfg.L2TLBEntries/cfg.L2TLBWays, cfg.L2TLBWays),
@@ -465,7 +519,7 @@ func New(cfg config.Config, specs []AppSpec, opt Options) (*GPU, error) {
 		spilled:       make([]uint64, (cfg.NumChannels()+63)/64),
 		hbm:           dram.New(cfg, MaxApps),
 		vmm:           vm.NewManager(cfg, mapper),
-		transPending:  make(map[uint64][]migWaiter),
+		transPending:  cache.NewWaitTable[migWaiter](),
 		replayQ:       make([]replayFIFO, cfg.NumSMs),
 		migInFlight:   make(map[uint64]bool),
 		failedSMs:     make([]bool, cfg.NumSMs),
@@ -501,6 +555,7 @@ func New(cfg config.Config, specs []AppSpec, opt Options) (*GPU, error) {
 	g.onWalkDone = func(done uint64, key uint64) {
 		g.walkDone(done, tlb.AppOf(key), key>>4)
 	}
+	g.onMigDone, g.onMigFail, g.onSMHandoff = g.migDone, g.migFail, g.handoffSM
 	g.hbm.Trace = g.tr
 	if opt.Power != nil {
 		pm, err := power.NewManager(cfg.NumSMs, cfg.NumChannels(), *opt.Power, g.tr)
@@ -547,13 +602,13 @@ func New(cfg config.Config, specs []AppSpec, opt Options) (*GPU, error) {
 		g.sms[i].Trace = g.tr
 		g.sms[i].Wake = wake
 		g.smL1[i] = cache.New(cfg.L1Sets, cfg.L1Ways, cfg.L1LineBytes)
-		g.smMSHR[i] = cache.NewMSHR(cfg.L1MSHRs)
+		g.smMSHR[i] = cache.NewMSHR[*sm.Warp](cfg.L1MSHRs)
 		g.smL1TLB[i] = tlb.NewFullyAssociative(cfg.L1TLBEntries)
 	}
 	for i := range g.slices {
 		g.slices[i] = &llcSlice{
 			cache: cache.New(cfg.LLCSets, cfg.LLCWays, cfg.L1LineBytes),
-			mshr:  cache.NewMSHR(cfg.QueueEntries),
+			mshr:  cache.NewMSHR[*memReq](cfg.QueueEntries),
 		}
 	}
 
@@ -628,7 +683,7 @@ func (g *GPU) tick() {
 	} else {
 		g.tickSMs(c)
 	}
-	if g.migActive > 0 || len(g.migQueue) > 0 || g.hbm.PendingMigrations() > 0 {
+	if g.migActive > 0 || g.migQueue.len() > 0 || g.hbm.PendingMigrations() > 0 {
 		g.dataMigCycles++
 	}
 	if g.reconfigSMs > 0 {

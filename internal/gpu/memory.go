@@ -12,11 +12,12 @@ import (
 	"ugpu/internal/sm"
 	"ugpu/internal/tlb"
 	"ugpu/internal/trace"
+	"ugpu/internal/vm"
 )
 
 // newMemReq pops a request from the GPU's freelist (refilled in l1Fill,
-// where every request's life ends) or allocates one. Reusing requests keeps
-// the per-load steady state allocation-free.
+// where every request's life ends) or carves one from the request slab.
+// Reusing requests keeps the per-load steady state allocation-free.
 func (g *GPU) newMemReq(app, smID, slice int, pa, vpn uint64) *memReq {
 	var req *memReq
 	if n := len(g.freeReqs); n > 0 {
@@ -24,14 +25,15 @@ func (g *GPU) newMemReq(app, smID, slice int, pa, vpn uint64) *memReq {
 		g.freeReqs[n-1] = nil
 		g.freeReqs = g.freeReqs[:n-1]
 	} else {
-		req = new(memReq)
+		req = g.reqSlab.get()
 	}
 	*req = memReq{app: app, sm: smID, slice: slice, pa: pa, vpn: vpn}
 	return req
 }
 
 // newDramReq pops a dram.Request from the freelist (refilled by the shared
-// dramDone/ctxDone callbacks once the controller is finished with it).
+// dramDone/ctxDone callbacks once the controller is finished with it) or
+// carves one from the slab.
 func (g *GPU) newDramReq() *dram.Request {
 	if n := len(g.freeDramReqs); n > 0 {
 		r := g.freeDramReqs[n-1]
@@ -39,7 +41,7 @@ func (g *GPU) newDramReq() *dram.Request {
 		g.freeDramReqs = g.freeDramReqs[:n-1]
 		return r
 	}
-	return new(dram.Request)
+	return g.dramReqSlab.get()
 }
 
 // releaseDramReq returns a completed DRAM request to the freelist. Callers
@@ -74,19 +76,9 @@ func (g *GPU) IssueLoad(cycle uint64, smID, appID int, va uint64, w *sm.Warp) bo
 	// it is accepted now and the warp tracks it as outstanding. Concurrent
 	// misses to the same page merge onto one in-flight translation.
 	key := tlb.Key(appID, vpn)
-	if ws, ok := g.transPending[key]; ok {
-		g.transPending[key] = append(ws, migWaiter{sm: smID, va: va, w: w, app: appID})
+	if alloc, _ := g.transPending.Add(key, migWaiter{w: w, va: va, sm: int32(smID), app: int32(appID)}); !alloc {
 		return true
 	}
-	var ws []migWaiter
-	if n := len(g.freeWaiters); n > 0 {
-		ws = g.freeWaiters[n-1]
-		g.freeWaiters[n-1] = nil
-		g.freeWaiters = g.freeWaiters[:n-1]
-	} else {
-		ws = make([]migWaiter, 0, 4)
-	}
-	g.transPending[key] = append(ws, migWaiter{sm: smID, va: va, w: w, app: appID})
 	g.wheel.scheduleEvent(cycle, wheelEvent{
 		at: cycle + uint64(g.cfg.L2TLBLatency), kind: evL2Translate,
 		app: int32(appID), vpn: vpn,
@@ -196,11 +188,15 @@ func (g *GPU) dramFill(at uint64, sliceIdx int, pa uint64) {
 	sl := g.slices[sliceIdx]
 	sl.cache.Fill(pa)
 	line := pa >> g.lineShift
-	ws := sl.mshr.Remove(line)
-	for _, wtr := range ws {
-		g.replyToSM(at, sliceIdx, wtr.(*memReq))
+	// The buffer is taken out of g while in use, so a nested fill could
+	// never overwrite it.
+	ws := sl.mshr.Remove(line, g.reqBuf[:0])
+	g.reqBuf = nil
+	for _, req := range ws {
+		g.replyToSM(at, sliceIdx, req)
 	}
-	sl.mshr.Recycle(ws)
+	clear(ws)
+	g.reqBuf = ws[:0]
 	g.drainParked(at, sliceIdx)
 }
 
@@ -245,17 +241,17 @@ func (g *GPU) replyToSM(at uint64, sliceIdx int, req *memReq) {
 func (g *GPU) l1Fill(at uint64, req *memReq) {
 	g.smL1[req.sm].Fill(req.pa)
 	line := req.pa >> g.lineShift
-	mshr := g.smMSHR[req.sm]
-	ws := mshr.Remove(line)
-	for _, wtr := range ws {
-		w := wtr.(*sm.Warp)
+	ws := g.smMSHR[req.sm].Remove(line, g.warpBuf[:0])
+	g.warpBuf = nil
+	for _, w := range ws {
 		g.maybeCheck(req.app, req.vpn)
 		if g.testBlackhole {
 			continue // injected livelock: swallow the completion
 		}
 		w.LoadDone()
 	}
-	mshr.Recycle(ws)
+	clear(ws)
+	g.warpBuf = ws[:0]
 	g.drainReplays(at, req.sm)
 	// The request's life ends here on both the hit and miss paths; recycle it.
 	g.memInFlight[req.app]--
@@ -340,7 +336,7 @@ func (g *GPU) l2Translate(at uint64, appID int, vpn uint64) {
 	if g.apps[appID].state == appVacant {
 		// Belt and braces: a vacant slot owns no pages, so a stale translation
 		// event must be dropped rather than allocating into an empty space.
-		delete(g.transPending, key)
+		g.dropTranslation(key)
 		return
 	}
 	if pa, ok := g.l2tlb.Lookup(key); ok {
@@ -364,16 +360,16 @@ func (g *GPU) l2Translate(at uint64, appID int, vpn uint64) {
 // onWalkDone callback so enqueuing a walk does not allocate.
 func (g *GPU) walkDone(done uint64, appID int, vpn uint64) {
 	if g.apps[appID].state == appVacant {
-		delete(g.transPending, tlb.Key(appID, vpn))
+		g.dropTranslation(tlb.Key(appID, vpn))
 		return
 	}
 	pa, ok := g.vmm.Translate(appID, vpn)
 	if !ok {
 		// Demand fault (should not happen with eager allocation, but
 		// kept for completeness): driver allocates a page.
-		g.wheel.schedule(done, done+uint64(g.cfg.DriverDelay), func(c uint64) {
-			npa := g.vmm.HandleFault(appID, vpn)
-			g.resolveTranslation(c, appID, vpn, npa, true)
+		g.wheel.scheduleEvent(done, wheelEvent{
+			at: done + uint64(g.cfg.DriverDelay), kind: evDemandFault,
+			app: int32(appID), vpn: vpn,
 		})
 		return
 	}
@@ -394,23 +390,22 @@ func (g *GPU) resolveTranslation(at uint64, appID int, vpn, pa uint64, fillL2 bo
 	if fillL2 {
 		g.l2tlb.Insert(key, pa)
 	}
-	waiters := g.transPending[key]
-	delete(g.transPending, key)
+	waiters := g.transPending.Remove(key, g.transBuf[:0])
+	g.transBuf = nil // see dramFill
 	off := uint64(g.cfg.PageBytes) - 1
 	for _, wtr := range waiters {
 		g.smL1TLB[wtr.sm].Insert(key, pa)
 		wtr.w.LastVPN, wtr.w.LastPA, wtr.w.LastVer, wtr.w.LastValid = vpn, pa, g.transVersion, true
-		g.l1AccessAsync(at, wtr.sm, appID, pa|(wtr.va&off), vpn, wtr.w)
+		g.l1AccessAsync(at, int(wtr.sm), appID, pa|(wtr.va&off), vpn, wtr.w)
 	}
-	// Recycle the consumed waiter slice (bounded so pathological bursts do
-	// not pin memory forever).
-	if cap(waiters) > 0 && len(g.freeWaiters) < 256 {
-		waiters = waiters[:cap(waiters)]
-		for i := range waiters {
-			waiters[i] = migWaiter{}
-		}
-		g.freeWaiters = append(g.freeWaiters, waiters[:0])
-	}
+	clear(waiters)
+	g.transBuf = waiters[:0]
+}
+
+// dropTranslation discards a merged translation and its waiters.
+func (g *GPU) dropTranslation(key uint64) {
+	g.transBuf = g.transPending.Remove(key, g.transBuf[:0])
+	clear(g.transBuf)
 }
 
 func migKey(appID int, vpn uint64) uint64 { return tlb.Key(appID, vpn) }
@@ -429,9 +424,9 @@ func (g *GPU) faultMigrate(at uint64, appID int, vpn uint64) {
 	}
 	g.migInFlight[k] = true
 	g.stats.FaultMigrations++
-	g.wheel.schedule(at, at+uint64(g.cfg.DriverDelay), func(c uint64) {
-		g.migQueue = append(g.migQueue, migJobReq{app: appID, vpn: vpn})
-		g.startQueuedMigrations(c)
+	g.wheel.scheduleEvent(at, wheelEvent{
+		at: at + uint64(g.cfg.DriverDelay), kind: evMigQueue,
+		app: int32(appID), vpn: vpn,
 	})
 }
 
@@ -441,12 +436,12 @@ func (g *GPU) faultMigrate(at uint64, appID int, vpn uint64) {
 // later accesses.
 func (g *GPU) asyncRebalance(at uint64, appID int, vpn uint64) {
 	k := migKey(appID, vpn)
-	if g.migInFlight[k] || len(g.migQueue) >= 4*maxConcurrentMigrations {
+	if g.migInFlight[k] || g.migQueue.len() >= 4*maxConcurrentMigrations {
 		return // driver queue full: skip; a later access retries
 	}
 	g.migInFlight[k] = true
 	g.stats.RebalanceMigrations++
-	g.migQueue = append(g.migQueue, migJobReq{app: appID, vpn: vpn})
+	g.migQueue.push(migJobReq{app: appID, vpn: vpn})
 	g.startQueuedMigrations(at)
 }
 
@@ -462,54 +457,80 @@ const maxMigrationAttempts = 3
 // mark survives retries, so merged translation waiters keep waiting and are
 // woken exactly once by completeMigration on every terminal path.
 func (g *GPU) startQueuedMigrations(at uint64) {
-	for g.migActive < maxConcurrentMigrations && len(g.migQueue) > 0 {
-		req := g.migQueue[0]
-		g.migQueue = g.migQueue[1:]
+	for g.migActive < maxConcurrentMigrations && g.migQueue.len() > 0 {
+		req := g.migQueue.pop()
 		appID, vpn := req.app, req.vpn
-		mig := g.vmm.PlanMigration(appID, vpn, -1)
-		if mig == nil {
+		mig, ok := g.vmm.PlanMigration(appID, vpn, -1)
+		if !ok {
 			// Already migrated or nothing to move.
 			g.completeMigration(at, appID, vpn)
 			continue
 		}
+		slot := int32(0)
+		for g.migSlots[slot].busy {
+			slot++
+		}
+		g.migSlots[slot] = migSlot{mig: mig, attempts: req.attempts, busy: true}
 		g.migActive++
-		attempts := req.attempts
-		g.tr.Emit(trace.KMigBegin, at, int32(appID), 0, int64(vpn), int64(attempts), 0)
-		err := g.hbm.StartMigrationChecked(at, mig.Src, mig.Dst, g.opt.MigrationMode, appID,
-			func(done uint64) {
-				mig.Commit()
-				g.migActive--
-				g.tr.Emit(trace.KMigCommit, done, int32(appID), 0, int64(vpn), 0, 0)
-				g.completeMigration(done, appID, vpn)
-				g.evacuateIfDead(done, appID, vpn)
-				g.startQueuedMigrations(done)
-			},
-			func(done uint64) {
-				mig.Abort()
-				g.migActive--
-				g.faultStats.MigFailures++
-				g.tr.Emit(trace.KMigFail, done, int32(appID), 0, int64(vpn), int64(attempts)+1, 0)
-				if attempts+1 < maxMigrationAttempts {
-					g.faultStats.MigRetries++
-					backoff := uint64(g.cfg.DriverDelay) << (attempts + 1)
-					g.tr.Emit(trace.KMigRetry, done, int32(appID), 0, int64(vpn), int64(attempts)+1, int64(backoff))
-					g.wheel.schedule(done, done+backoff, func(c uint64) {
-						// Retries jump the queue: the page has already waited a
-						// full attempt plus backoff, and re-queueing at the tail
-						// behind a mass evacuation would defer the second attempt
-						// (and the final spill remap) almost indefinitely.
-						g.migQueue = append([]migJobReq{{app: appID, vpn: vpn, attempts: attempts + 1}}, g.migQueue...)
-						g.startQueuedMigrations(c)
-					})
-				} else {
-					g.spillRemap(done, appID, vpn)
-				}
-				g.startQueuedMigrations(done)
-			})
+		g.tr.Emit(trace.KMigBegin, at, int32(appID), 0, int64(vpn), int64(req.attempts), 0)
+		g.migSrc, g.migDst = mig.AppendLines(g.migSrc[:0], g.migDst[:0])
+		err := g.hbm.StartMigrationChecked(at, g.migSrc, g.migDst, g.opt.MigrationMode, appID,
+			slot, g.onMigDone, g.onMigFail)
 		if err != nil {
 			panic(fmt.Sprintf("gpu: migration start failed: %v", err))
 		}
 	}
+}
+
+// endMigration frees an active job's slot and returns its plan and failed
+// attempts.
+func (g *GPU) endMigration(slot int32) (vm.Migration, uint8) {
+	s := g.migSlots[slot]
+	g.migSlots[slot] = migSlot{}
+	g.migActive--
+	return s.mig, s.attempts
+}
+
+// migDone commits a finished page copy.
+func (g *GPU) migDone(done uint64, slot int32) {
+	mig, _ := g.endMigration(slot)
+	mig.Commit()
+	appID, vpn := mig.App, mig.VPN
+	g.tr.Emit(trace.KMigCommit, done, int32(appID), 0, int64(vpn), 0, 0)
+	g.completeMigration(done, appID, vpn)
+	g.evacuateIfDead(done, appID, vpn)
+	g.startQueuedMigrations(done)
+}
+
+// migFail aborts a page copy whose MIGRATION commands exhausted their NACK
+// retries: it retries after backoff, or spills to the slow-path remap.
+func (g *GPU) migFail(done uint64, slot int32) {
+	mig, attempts := g.endMigration(slot)
+	mig.Abort()
+	appID, vpn := mig.App, mig.VPN
+	g.faultStats.MigFailures++
+	g.tr.Emit(trace.KMigFail, done, int32(appID), 0, int64(vpn), int64(attempts)+1, 0)
+	if attempts+1 < maxMigrationAttempts {
+		g.faultStats.MigRetries++
+		backoff := uint64(g.cfg.DriverDelay) << (attempts + 1)
+		g.tr.Emit(trace.KMigRetry, done, int32(appID), 0, int64(vpn), int64(attempts)+1, int64(backoff))
+		g.wheel.scheduleEvent(done, wheelEvent{
+			at: done + backoff, kind: evMigRetry,
+			app: int32(appID), vpn: vpn, idx: int32(attempts) + 1,
+		})
+	} else {
+		g.spillRemap(done, appID, vpn)
+	}
+	g.startQueuedMigrations(done)
+}
+
+// retryMigration re-queues a failed page copy once its backoff has passed.
+// Retries jump the queue: the page has already waited a full attempt plus
+// backoff, and re-queueing at the tail behind a mass evacuation would defer
+// the second attempt (and the final spill remap) almost indefinitely.
+func (g *GPU) retryMigration(c uint64, appID int, vpn uint64, attempts uint8) {
+	g.migQueue.pushFront(migJobReq{app: appID, vpn: vpn, attempts: attempts})
+	g.startQueuedMigrations(c)
 }
 
 // evacuateIfDead queues an emergency evacuation for a page that has just
@@ -531,7 +552,7 @@ func (g *GPU) evacuateIfDead(at uint64, appID int, vpn uint64) {
 	g.migInFlight[k] = true
 	g.faultStats.EmergencyMigrations++
 	g.tr.Emit(trace.KMigEvacuate, at, int32(appID), int32(g.mapper.ChannelGroup(pa)), int64(vpn), 0, 0)
-	g.migQueue = append(g.migQueue, migJobReq{app: appID, vpn: vpn})
+	g.migQueue.push(migJobReq{app: appID, vpn: vpn})
 }
 
 // spillRemap is the last-resort path for a page whose hardware copies keep
@@ -541,9 +562,9 @@ func (g *GPU) evacuateIfDead(at uint64, appID int, vpn uint64) {
 func (g *GPU) spillRemap(at uint64, appID int, vpn uint64) {
 	g.faultStats.SpillRemaps++
 	g.tr.Emit(trace.KMigSpill, at, int32(appID), 0, int64(vpn), 0, 0)
-	g.wheel.schedule(at, at+uint64(g.cfg.PageFaultDelay), func(c uint64) {
-		g.vmm.RemapPage(appID, vpn)
-		g.completeMigration(c, appID, vpn)
+	g.wheel.scheduleEvent(at, wheelEvent{
+		at: at + uint64(g.cfg.PageFaultDelay), kind: evSpillRemap,
+		app: int32(appID), vpn: vpn,
 	})
 }
 

@@ -49,7 +49,7 @@ func TestCheckInvariantsParkedLLC(t *testing.T) {
 
 	// Requests parked while the MSHR has a free entry.
 	m := g.slices[slice].mshr
-	m.Recycle(m.Remove(1 << 50))
+	m.Remove(1<<50, nil)
 	expect(g, "not full")
 
 	// The parked head's line is already outstanding.

@@ -40,30 +40,34 @@ func (g *GPU) MoveSMs(cycle uint64, fromID, toID, n int) error {
 		// Track the in-flight destination so a fault striking a moving SM
 		// can unwind the inbound accounting (faults.go).
 		g.pendingMoveTo[id] = to
-		handoff := func(c uint64, freed *smpkg.SM) {
-			g.reconfigSMs--
-			to.inbound--
-			delete(g.pendingMoveTo, freed.ID)
-			if to.state != appActive {
-				// Destination departed while the SM was in flight (online
-				// serving): leave the SM idle in the free pool instead of
-				// resurrecting the tenant.
-				return
-			}
-			to.SMs = append(to.SMs, freed.ID)
-			freed.Assign(c, to.smApp)
-		}
 		if est := s.TBDurationEstimate(); est > 0 && est < float64(g.cfg.EpochCycles)/2 {
 			g.tr.Emit(trace.KSMDrain, cycle, int32(fromID), int32(id), int64(toID), 0, 0)
-			s.BeginDrain(cycle, handoff)
+			s.BeginDrain(cycle, g.onSMHandoff)
 		} else {
 			ready := cycle + g.switchCost(from)
 			g.tr.Emit(trace.KSMSwitch, cycle, int32(fromID), int32(id), int64(toID), int64(ready), 0)
 			g.injectContextTraffic(cycle, from)
-			s.BeginSwitch(cycle, ready, handoff)
+			s.BeginSwitch(cycle, ready, g.onSMHandoff)
 		}
 	}
 	return nil
+}
+
+// handoffSM is the drain/switch completion of an SM MoveSMs sent toward the
+// app pendingMoveTo records: the SM joins it.
+func (g *GPU) handoffSM(c uint64, freed *smpkg.SM) {
+	to := g.pendingMoveTo[freed.ID]
+	g.reconfigSMs--
+	to.inbound--
+	delete(g.pendingMoveTo, freed.ID)
+	if to.state != appActive {
+		// Destination departed while the SM was in flight (online
+		// serving): leave the SM idle in the free pool instead of
+		// resurrecting the tenant.
+		return
+	}
+	to.SMs = append(to.SMs, freed.ID)
+	freed.Assign(c, to.smApp)
 }
 
 // switchCost estimates the context save latency: pipeline drain plus

@@ -86,8 +86,8 @@ func (g *GPU) TakeSnapshot() Snapshot {
 		DramQueued:    g.hbm.QueuedTotal(),
 		DramMigJobs:   g.hbm.PendingMigrations(),
 		MigActive:     g.migActive,
-		MigQueued:     len(g.migQueue),
-		TransPending:  len(g.transPending),
+		MigQueued:     g.migQueue.len(),
+		TransPending:  g.transPending.Len(),
 		FailedSMs:     g.FailedSMs(),
 		DeadGroups:    g.DeadGroups(),
 	}
@@ -127,7 +127,7 @@ func (g *GPU) outstandingWork() bool {
 	if g.hbm.QueuedTotal() > 0 || g.hbm.PendingMigrations() > 0 {
 		return true
 	}
-	if g.migActive > 0 || len(g.migQueue) > 0 || len(g.transPending) > 0 {
+	if g.migActive > 0 || g.migQueue.len() > 0 || g.transPending.Len() > 0 {
 		return true
 	}
 	for _, smu := range g.sms {
@@ -331,15 +331,14 @@ func (g *GPU) CheckInvariants() error {
 				return &InvariantError{"vacant-slot", fmt.Sprintf("vacant app %d has a migration in flight (key %#x)", app.ID, key)}
 			}
 		}
-		for _, job := range g.migQueue {
+		for _, job := range g.migQueue.pending() {
 			if job.app == app.ID {
 				return &InvariantError{"vacant-slot", fmt.Sprintf("vacant app %d has a queued migration (vpn %#x)", app.ID, job.vpn)}
 			}
 		}
-		for key := range g.transPending {
-			if tlb.AppOf(key) == app.ID {
-				return &InvariantError{"vacant-slot", fmt.Sprintf("vacant app %d has a pending merged translation (key %#x)", app.ID, key)}
-			}
+		var key uint64
+		if g.transPending.AnyLine(func(k uint64) bool { key = k; return tlb.AppOf(k) == app.ID }) {
+			return &InvariantError{"vacant-slot", fmt.Sprintf("vacant app %d has a pending merged translation (key %#x)", app.ID, key)}
 		}
 		for _, s := range g.sms {
 			if s.AppID() == app.ID {

@@ -1,8 +1,8 @@
 package sm
 
 // State digests (ISSUE 9): every field that can influence a future cycle
-// folds in; observation-only and pooling state (freeWarps, addrBuf, Trace,
-// Wake) is excluded. Warp and scheduler order are themselves deterministic
+// folds in; observation-only and pooling state (freeWarps, pendArena, the
+// warps' orphaned flag, addrBuf, Trace, Wake) is excluded. Warp and scheduler order are themselves deterministic
 // across execution modes, so slices fold in place — no canonicalization
 // beyond the field ordering fixed here.
 

@@ -90,6 +90,10 @@ type Warp struct {
 	blocked     bool
 	structStall bool // blocked on a structural hazard (queued in sm retry list)
 	done        bool
+	// orphaned marks a warp that left the resident list (dropped, or done
+	// and compacted away) with loads still in flight: its last LoadDone
+	// returns it to the SM's freelist.
+	orphaned bool
 
 	// LastValid/LastVPN/LastPA/LastVer form a one-entry per-warp
 	// translation filter the gpu package uses to shortcut consecutive
@@ -123,6 +127,10 @@ func (w *Warp) LoadDone() {
 	// can stall mid-instruction when a divergent access hits the MLP bound).
 	if w.blocked && !w.structStall && w.Outstanding < w.MaxOut {
 		w.unblock()
+	}
+	if w.orphaned && w.Outstanding == 0 {
+		w.orphaned = false
+		w.sm.freeWarps = append(w.sm.freeWarps, w)
 	}
 }
 
@@ -163,7 +171,6 @@ type Stats struct {
 
 // tbSlot tracks one resident thread block.
 type tbSlot struct {
-	warps    []*Warp
 	liveWarp int
 	valid    bool
 }
@@ -219,11 +226,15 @@ type SM struct {
 	tbDurationEMA float64
 	tbStart       []uint64 // per-slot TB launch cycle
 
-	// freeWarps recycles retired Warp objects (and their embedded
-	// WarpStreams) so steady-state TB refill does not allocate. A warp is
-	// recycled only once nothing downstream can still reference it: done,
-	// zero outstanding loads, and no pending addresses.
+	// freeWarps recycles Warp objects (with their embedded WarpStreams and
+	// pending-address arrays) so TB refill and reassignment do not allocate.
+	// A warp is recycled only once nothing downstream can still reference
+	// it: it has left the resident list and has no loads outstanding (see
+	// retire). The first assignment allocates a full complement of warps
+	// as one slab, later shortfalls (orphans still draining) one TB's worth
+	// at a time.
 	freeWarps []*Warp
+	pendArena []uint64 // carvePending's uncarved addresses
 }
 
 // New builds an SM with the given geometry; it holds at most MaxWarps
@@ -345,6 +356,10 @@ func (s *SM) Assign(cycle uint64, app *App) {
 // warp generation. The dropped warps become orphans: their in-flight loads
 // still complete into them, but they no longer reach the ready mask.
 func (s *SM) dropWarps() {
+	for i, w := range s.warps {
+		s.warps[i] = nil
+		s.retire(w)
+	}
 	s.warps = s.warps[:0]
 	s.cur = nil
 	s.retry = s.retry[:0]
@@ -353,30 +368,51 @@ func (s *SM) dropWarps() {
 	s.gen++
 }
 
-// newWarp pops a recycled warp (keeping its pending-address backing array)
-// or allocates a fresh one. fillTB reinitialises the embedded stream.
-func (s *SM) newWarp() *Warp {
-	if n := len(s.freeWarps); n > 0 {
-		w := s.freeWarps[n-1]
-		s.freeWarps[n-1] = nil
-		s.freeWarps = s.freeWarps[:n-1]
-		pending := w.pending[:0]
-		*w = Warp{pending: pending}
-		return w
+// retire takes a warp that has left the resident list out of service: it
+// is reusable at once with no loads outstanding (nothing downstream — MSHR,
+// translation, replay queue or event wheel — can still reference it);
+// otherwise its last LoadDone recycles it. Loads that never complete (their
+// replay queue discarded with a failed or released SM) keep it out of the
+// pool for good.
+func (s *SM) retire(w *Warp) {
+	if w.Outstanding == 0 {
+		s.freeWarps = append(s.freeWarps, w)
+	} else {
+		w.orphaned = true
 	}
-	return new(Warp)
+}
+
+// newWarp pops a recycled warp (keeping its pending-address backing array),
+// restocking the freelist first when it is empty. fillTB reinitialises the
+// embedded stream.
+func (s *SM) newWarp() *Warp {
+	if len(s.freeWarps) == 0 {
+		n := s.warpsPerTB
+		if cap(s.freeWarps) == 0 {
+			// First assignment: no warp exists yet, so the resident list
+			// is empty too; size both lists for a full complement.
+			n = len(s.tbSlots) * s.warpsPerTB
+			s.freeWarps = make([]*Warp, 0, n)
+			s.warps = make([]*Warp, 0, n)
+		}
+		slab := make([]Warp, n)
+		for i := n - 1; i >= 0; i-- {
+			s.freeWarps = append(s.freeWarps, &slab[i])
+		}
+	}
+	k := len(s.freeWarps) - 1
+	w := s.freeWarps[k]
+	s.freeWarps[k] = nil
+	s.freeWarps = s.freeWarps[:k]
+	pending := w.pending[:0]
+	*w = Warp{pending: pending}
+	return w
 }
 
 func (s *SM) fillTB(cycle uint64, slot int) {
 	app := s.app
 	tb := app.Dispatcher.NextTB()
-	slotWarps := s.tbSlots[slot].warps
-	if cap(slotWarps) >= s.warpsPerTB {
-		slotWarps = slotWarps[:s.warpsPerTB]
-	} else {
-		slotWarps = make([]*Warp, s.warpsPerTB)
-	}
-	for wi := range slotWarps {
+	for wi := 0; wi < s.warpsPerTB; wi++ {
 		seed := app.SeedBase ^ uint64(s.ID)<<40 ^ uint64(tb.Launch)<<28 ^ uint64(tb.TBIndex)<<8 ^ uint64(wi) + 1
 		w := s.newWarp()
 		app.Dispatcher.InitWarpStream(&w.Stream, tb, wi, app.PageBytes, seed)
@@ -385,11 +421,10 @@ func (s *SM) fillTB(cycle uint64, slot int) {
 		w.tb = int32(slot)
 		w.idx = int32(len(s.warps))
 		w.gen = s.gen
-		slotWarps[wi] = w
 		s.warps = append(s.warps, w)
 		s.ready |= 1 << w.idx
 	}
-	s.tbSlots[slot] = tbSlot{warps: slotWarps, liveWarp: s.warpsPerTB, valid: true}
+	s.tbSlots[slot] = tbSlot{liveWarp: s.warpsPerTB, valid: true}
 	s.tbStart[slot] = cycle
 }
 
@@ -510,6 +545,9 @@ func (s *SM) issue(cycle uint64, w *Warp, port Port) bool {
 	s.stats.IssueSlots++
 	if len(addrs) > 0 {
 		s.stats.MemInstrs++
+		if cap(w.pending) < len(addrs) {
+			w.pending = s.carvePending(len(addrs))
+		}
 		w.pending = append(w.pending, addrs...)
 		s.drainPending(cycle, w, port)
 	}
@@ -523,6 +561,23 @@ func (s *SM) issue(cycle uint64, w *Warp, port Port) bool {
 	}
 	return true
 }
+
+// carvePending returns an empty pending-address array of capacity n cut
+// from the SM's arena, refilled pendingArena addresses at a time, so warps
+// do not allocate their arrays one by one. A warp keeps its array when it
+// is recycled. Pending is empty whenever a warp issues, so n addresses (one
+// instruction's) always fit.
+func (s *SM) carvePending(n int) []uint64 {
+	if len(s.pendArena) < n {
+		s.pendArena = make([]uint64, max(n, pendingArena))
+	}
+	p := s.pendArena[:0:n]
+	s.pendArena = s.pendArena[n:]
+	return p
+}
+
+// pendingArena is the carvePending refill size in addresses.
+const pendingArena = 256
 
 func (s *SM) drainPending(cycle uint64, w *Warp, port Port) {
 	// Consume by index and compact once at the end: popping via
@@ -614,19 +669,17 @@ func (s *SM) completeWarp(cycle uint64, w *Warp) {
 }
 
 // compactWarps removes completed warps from the age list and recomputes the
-// unready counter and the ready mask. Completed warps that nothing
-// downstream can still reference — no outstanding loads (which covers
-// in-flight fills, MSHR waiters, and merged translations) and no pending
-// addresses (which covers the structural-retry list) — are recycled into
-// the warp freelist.
+// unready counter and the ready mask. Completed warps are retired; one that
+// still has pending addresses sits on the structural-retry list and stays
+// out of the pool.
 func (s *SM) compactWarps() {
 	live := s.warps[:0]
 	unready := 0
 	var ready uint64
 	for _, w := range s.warps {
 		if w.done {
-			if w.Outstanding == 0 && len(w.pending) == 0 {
-				s.freeWarps = append(s.freeWarps, w)
+			if len(w.pending) == 0 {
+				s.retire(w)
 			}
 			continue
 		}

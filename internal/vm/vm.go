@@ -340,27 +340,26 @@ func (m *Manager) CheckRead(app int, vpn uint64) error {
 	return nil
 }
 
-// Migration is a planned page move: copy Src lines to Dst lines, then call
-// Commit.
+// Migration is a planned page move: copy the page's lines (AppendLines)
+// from SrcPA to DstPA, then call Commit or Abort.
 type Migration struct {
-	App      int
-	VPN      uint64
-	SrcPA    uint64
-	DstPA    uint64
-	Src, Dst []addr.Location
+	App   int
+	VPN   uint64
+	SrcPA uint64
+	DstPA uint64
 
 	m *Manager
 }
 
 // PlanMigration allocates a destination frame for (app, vpn) in the
-// least-used allowed group and returns the copy plan. It returns nil if the
-// page is unmapped, already migrating, or already in the best group.
+// least-used allowed group and returns the copy plan. It reports false if
+// the page is unmapped, already migrating, or already in the best group.
 // toGroup >= 0 forces a specific destination group.
-func (m *Manager) PlanMigration(app int, vpn uint64, toGroup int) *Migration {
+func (m *Manager) PlanMigration(app int, vpn uint64, toGroup int) (Migration, bool) {
 	sp := m.spaces[app]
 	pa, ok := sp.lookup(vpn)
 	if !ok || sp.has(vpn, flagMigrating) {
-		return nil
+		return Migration{}, false
 	}
 	srcGroup := m.mapper.ChannelGroup(pa)
 	dstGroup := toGroup
@@ -380,20 +379,18 @@ func (m *Manager) PlanMigration(app int, vpn uint64, toGroup int) *Migration {
 	if srcGroup == dstGroup {
 		// Nothing to move; a forced reshuffle to nowhere is just cleared.
 		sp.clearFlags(vpn, flagPending)
-		return nil
+		return Migration{}, false
 	}
 	frame := m.allocFrame(dstGroup)
 	dstPA := m.mapper.FrameBase(dstGroup, frame)
 	sp.setFlags(vpn, flagMigrating)
-	return &Migration{
-		App:   app,
-		VPN:   vpn,
-		SrcPA: pa,
-		DstPA: dstPA,
-		Src:   m.mapper.PageLines(pa),
-		Dst:   m.mapper.PageLines(dstPA),
-		m:     m,
-	}
+	return Migration{App: app, VPN: vpn, SrcPA: pa, DstPA: dstPA, m: m}, true
+}
+
+// AppendLines appends the line-by-line copy plan — the source and the
+// destination page's line locations, paired by index — to src and dst.
+func (mig *Migration) AppendLines(src, dst []addr.Location) ([]addr.Location, []addr.Location) {
+	return mig.m.mapper.AppendPageLines(src, mig.SrcPA), mig.m.mapper.AppendPageLines(dst, mig.DstPA)
 }
 
 // rehome points (sp, vpn) at dstPA, whose frame takes over the content tag

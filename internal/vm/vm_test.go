@@ -116,25 +116,26 @@ func TestMigrationMovesPageAndPreservesTag(t *testing.T) {
 		t.Fatalf("PagesOnGroup(lost group) = %v, want [42]", out)
 	}
 
-	mig := mgr.PlanMigration(0, 42, -1)
-	if mig == nil {
-		t.Fatal("PlanMigration returned nil")
+	mig, ok := mgr.PlanMigration(0, 42, -1)
+	if !ok {
+		t.Fatal("PlanMigration planned nothing")
 	}
 	if g := mapper.ChannelGroup(mig.DstPA); g != 5 {
 		t.Errorf("migration destination group = %d, want 5", g)
 	}
-	if len(mig.Src) != cfg.LinesPerPage() || len(mig.Dst) != cfg.LinesPerPage() {
-		t.Errorf("plan has %d/%d lines, want %d", len(mig.Src), len(mig.Dst), cfg.LinesPerPage())
+	src, dst := mig.AppendLines(nil, nil)
+	if len(src) != cfg.LinesPerPage() || len(dst) != cfg.LinesPerPage() {
+		t.Errorf("plan has %d/%d lines, want %d", len(src), len(dst), cfg.LinesPerPage())
 	}
 	// Same-stack pairing line by line (PPMM-compatible).
-	for i := range mig.Src {
-		if mig.Src[i].Stack != mig.Dst[i].Stack {
-			t.Fatalf("line %d crosses stacks: %v -> %v", i, mig.Src[i], mig.Dst[i])
+	for i := range src {
+		if src[i].Stack != dst[i].Stack {
+			t.Fatalf("line %d crosses stacks: %v -> %v", i, src[i], dst[i])
 		}
 	}
 
 	// A second plan for the same page while in flight must be refused.
-	if dup := mgr.PlanMigration(0, 42, -1); dup != nil {
+	if _, dup := mgr.PlanMigration(0, 42, -1); dup {
 		t.Error("concurrent migration planned for same page")
 	}
 
@@ -161,15 +162,15 @@ func TestMigrationAbortRecyclesFrame(t *testing.T) {
 	mgr, _, _ := newManager(t, 1)
 	mgr.SetGroups(0, []int{0, 1})
 	mgr.HandleFault(0, 1)
-	mig := mgr.PlanMigration(0, 1, 1)
-	if mig == nil {
+	mig, ok := mgr.PlanMigration(0, 1, 1)
+	if !ok {
 		t.Fatal("no plan")
 	}
 	before := len(mgr.frames[1])
 	mig.Abort()
 	// The reserved frame must be reused by the next allocation in group 1.
-	mig2 := mgr.PlanMigration(0, 1, 1)
-	if mig2 == nil {
+	mig2, ok := mgr.PlanMigration(0, 1, 1)
+	if !ok {
 		t.Fatal("no second plan")
 	}
 	if mig2.DstPA != mig.DstPA {
@@ -189,7 +190,7 @@ func TestFrameRecyclingReusesFreedFrames(t *testing.T) {
 	mgr.SetGroups(0, []int{0, 1})
 	pa := mgr.HandleFault(0, 1)
 	srcGroup := mapper.ChannelGroup(pa)
-	mig := mgr.PlanMigration(0, 1, 1-srcGroup)
+	mig, _ := mgr.PlanMigration(0, 1, 1-srcGroup)
 	mig.Commit()
 	// The freed source frame should back the next fault in that group.
 	mgr.SetGroups(0, []int{srcGroup})
@@ -228,7 +229,7 @@ func TestRandomisedMigrationStress(t *testing.T) {
 		groups := []int{g, (g + 1) % 8, (g + 3) % 8}
 		mgr.SetGroups(app, groups)
 		for _, vpn := range stranded(mgr, app, groups, 20) {
-			if mig := mgr.PlanMigration(app, vpn, -1); mig != nil {
+			if mig, ok := mgr.PlanMigration(app, vpn, -1); ok {
 				if rng.Intn(10) == 0 {
 					mig.Abort()
 				} else {
@@ -271,14 +272,14 @@ func TestQuickMigrationInvariants(t *testing.T) {
 				mgr.SetGroups(app, held[app])
 			case 3: // migrate a page off a lost group
 				for _, vpn := range stranded(mgr, app, held[app], 1) {
-					if mig := mgr.PlanMigration(app, vpn, -1); mig != nil {
+					if mig, ok := mgr.PlanMigration(app, vpn, -1); ok {
 						mig.Commit()
 					}
 				}
 			case 4: // plan then abort
 				if mapped[app] > 0 {
 					vpn := uint64(rng.Int63n(int64(mapped[app])))
-					if mig := mgr.PlanMigration(app, vpn, -1); mig != nil {
+					if mig, ok := mgr.PlanMigration(app, vpn, -1); ok {
 						mig.Abort()
 					}
 				}
@@ -316,7 +317,8 @@ func populated(t *testing.T) (mgr *Manager, mapper *addr.CustomMapper, srcGroup 
 	}
 	pa, _ := mgr.Translate(0, 0)
 	srcGroup = mapper.ChannelGroup(pa)
-	mgr.PlanMigration(0, 0, (srcGroup+1)%4).Commit()
+	mig, _ := mgr.PlanMigration(0, 0, (srcGroup+1)%4)
+	mig.Commit()
 	if err := mgr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -125,6 +125,12 @@ type WarpStream struct {
 	// keeps the per-epoch state digest to a handful of folds per stream; see
 	// AppendDigest in digest.go.
 	immHash uint64
+
+	// ComputeRun's last count and the rng it started from and ended at, so
+	// a SkipCompute over exactly that run sets rng instead of redrawing it.
+	// Observation state: AppendDigest leaves it out.
+	peekFrom, peekEnd uint64
+	peekN             int
 }
 
 // NewWarpStream builds the stream for warp warpIdx of the given TB.
@@ -250,21 +256,29 @@ func (ws *WarpStream) ComputeRun(limit int) int {
 	r := ws.rng
 	n := 0
 	for n < limit {
-		r ^= r << 13
-		r ^= r >> 7
-		r ^= r << 17
-		if uint32(r) < ws.memThresh {
+		x := r ^ r<<13
+		x ^= x >> 7
+		x ^= x << 17
+		if uint32(x) < ws.memThresh {
 			break
 		}
+		r = x
 		n++
 	}
+	ws.peekFrom, ws.peekEnd, ws.peekN = ws.rng, r, n
 	return n
 }
 
 // SkipCompute advances the stream over n pure-compute instructions exactly
-// as n NextInstr calls would; n must not exceed ComputeRun's count.
+// as n NextInstr calls would; n must not exceed ComputeRun's count. A skip
+// of the whole run the last ComputeRun counted, from where it counted,
+// takes the rng state that call reached; any other skip redraws it.
 func (ws *WarpStream) SkipCompute(n int) {
 	ws.issued += n
+	if n == ws.peekN && ws.rng == ws.peekFrom {
+		ws.rng = ws.peekEnd
+		return
+	}
 	for ; n > 0; n-- {
 		ws.next()
 	}

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"ugpu/internal/digest"
 )
 
 func TestTable2Complete(t *testing.T) {
@@ -374,7 +376,7 @@ func TestComputeRunMatchesNextInstr(t *testing.T) {
 				}
 			}
 			ws.SkipCompute(n)
-			if !reflect.DeepEqual(ws, ref) {
+			if !sameStream(ws, ref) {
 				t.Fatalf("%s: stream after SkipCompute(%d) differs from NextInstr's", abbr, n)
 			}
 			if ref.Done() {
@@ -390,5 +392,58 @@ func TestComputeRunMatchesNextInstr(t *testing.T) {
 		if ref.Issued() != tb.Kernel.InstrPerWarp {
 			t.Errorf("%s: reference issued %d of %d", abbr, ref.Issued(), tb.Kernel.InstrPerWarp)
 		}
+	}
+}
+
+// sameStream reports whether two streams hold the same replay state: every
+// field but ComputeRun's peek memo.
+func sameStream(a, b *WarpStream) bool {
+	x, y := *a, *b
+	x.peekFrom, x.peekEnd, x.peekN = 0, 0, 0
+	y.peekFrom, y.peekEnd, y.peekN = 0, 0, 0
+	return x == y
+}
+
+// TestSkipComputeSettles: after ComputeRun(n), SkipCompute(n) — which takes
+// the peeked rng state — and a split settle, SkipCompute(k) then
+// SkipCompute(n-k), which redraws it, each leave the stream identical to n
+// NextInstr calls. Neither the peek nor a settle moves the digest off the
+// reference's.
+func TestSkipComputeSettles(t *testing.T) {
+	b, _ := ByAbbr("DXTC")
+	d := NewDispatcher(b, 4, 4096)
+	tb := d.NextTB()
+	ref := d.NewWarpStream(tb, 0, 4096, 11)
+	buf := make([]uint64, 0, 8)
+	runs := 0
+	for !ref.Done() {
+		full, split := *ref, *ref
+		n := full.ComputeRun(1 << 20)
+		split.ComputeRun(1 << 20)
+		if full.AppendDigest(digest.New()) != ref.AppendDigest(digest.New()) {
+			t.Fatal("ComputeRun moved the digest")
+		}
+		for i := 0; i < n; i++ {
+			ref.NextInstr(buf)
+		}
+		full.SkipCompute(n)
+		k := n / 3
+		split.SkipCompute(k)
+		split.SkipCompute(n - k)
+		for _, c := range []struct {
+			name string
+			ws   *WarpStream
+		}{{"full", &full}, {"split", &split}} {
+			if !sameStream(c.ws, ref) || c.ws.AppendDigest(digest.New()) != ref.AppendDigest(digest.New()) {
+				t.Fatalf("%s settle of a %d-instruction run differs from NextInstr's", c.name, n)
+			}
+		}
+		if n > 1 {
+			runs++
+		}
+		ref.NextInstr(buf)
+	}
+	if runs == 0 {
+		t.Fatal("no compute run longer than one instruction")
 	}
 }
